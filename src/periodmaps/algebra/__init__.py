@@ -1,20 +1,20 @@
 """Exact polynomial/rational-function kernel and numeric boundary tools."""
 
-from fractions import Fraction as BigRational
-
 from .gcd import poly_gcd, squarefree_part
-from .poly import (MPoly, divides, exact_divide, parse_poly, poly_eval)
-from .ratfunc import RatFunc, compose_parts, compose_poly
+from .poly import (MPoly, divides, exact_divide, normalize, parse_poly,
+                   strip_var_monomials)
+from .ratfunc import RatFunc, compose_parts
 from .resultant import det_bareiss, resultant, sylvester_matrix
 from .roots import roots, roots_of_poly, root_sort_key
 
 __all__ = [
-    "BigRational", "MPoly", "RatFunc",
-    "parse_poly", "poly_eval", "exact_divide", "divides",
+    "MPoly", "RatFunc",
+    "parse_poly", "exact_divide", "divides",
+    "strip_var_monomials", "normalize",
     "poly_gcd", "squarefree_part",
     "resultant", "sylvester_matrix", "det_bareiss",
     "roots", "roots_of_poly", "root_sort_key",
-    "compose_poly", "compose_parts",
+    "compose_parts",
     "equal_up_to_scale",
 ]
 

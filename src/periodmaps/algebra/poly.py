@@ -499,11 +499,6 @@ def parse_poly(text: str, variables: Sequence[str] = None) -> MPoly:
     return result
 
 
-def poly_eval(p: MPoly, point: Sequence[complex]) -> complex:
-    """Module-level alias for MPoly.eval."""
-    return p.eval(point)
-
-
 def exact_divide(p: MPoly, f: MPoly) -> MPoly:
     """Exact quotient q with q*f == p; raises with the remainder otherwise."""
     if f.is_zero():
@@ -529,3 +524,21 @@ def divides(f: MPoly, p: MPoly) -> bool:
         return True
     except InexactDivisionError:
         return False
+
+
+def strip_var_monomials(p: MPoly) -> MPoly:
+    """p with every power of a single variable that divides it divided out."""
+    for v in p.used_vars():
+        mv = MPoly.var(v).with_vars(p.vars)
+        while p.degree(v) and divides(mv, p):
+            p = exact_divide(p, mv)
+    return p
+
+
+def normalize(p: MPoly) -> MPoly:
+    """Primitive part with a positive constant term (else leading coefficient)."""
+    p = p.primitive()
+    c0 = p.constant_term()
+    if c0 < 0 or (c0 == 0 and p.leading_coeff() < 0):
+        p = -p
+    return p

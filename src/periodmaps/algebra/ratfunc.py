@@ -125,13 +125,6 @@ class RatFunc:
             raise PoleError("denominator vanishes at evaluation point")
         return nv / dv
 
-    def eval_at(self, bindings: Mapping[str, complex]) -> complex:
-        nv = self.num.eval([bindings.get(v, 0j) for v in self.num.vars])
-        dv = self.den.eval([bindings.get(v, 0j) for v in self.den.vars])
-        if abs(dv) <= POLE_REL * (1 + abs(nv)):
-            raise PoleError("denominator vanishes at evaluation point")
-        return nv / dv
-
     def eval_exact(self, point: Sequence) -> Fraction:
         nv = self.num.eval_exact(point)
         dv = self.den.eval_exact(point)
@@ -146,17 +139,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def compose_poly(p: MPoly, substitutions: Mapping[str, RatFunc]) -> RatFunc:
-    """p with rational functions substituted for (a subset of) its variables.
-
-    Variables without a substitution entry pass through unchanged.  The
-    result uses the common-denominator expansion prod den_i^deg_i, then
-    reduces.
-    """
-    num, den = compose_parts(p, substitutions)
-    return RatFunc(num, den)
 
 
 def compose_parts(p: MPoly, substitutions: Mapping[str, RatFunc]):

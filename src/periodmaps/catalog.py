@@ -4,6 +4,9 @@ Explicit maps carry RatFunc components over their coordinate variables.
 Two families are implicit: the 4d Lotka-Volterra map (solved through a
 cyclic Moebius chain plus a quadratic consistency condition) and the
 discrete Euler top in Hirota-Kimura form (a linear 3x3 solve per step).
+
+Everything the package knows about one map sits in its MapSpec record in
+MAPS: the builder, the parameters, and the defaults other stages use.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,9 +25,6 @@ from .errors import (BranchSelectionError, DegenerateParameterError,
                      SingularSystemError, UnknownMapError)
 
 Point = Tuple[complex, ...]
-
-MAP_NAMES = ("lyness2", "lyness5", "lyness8", "lv3", "lv4", "toda3",
-             "euler", "moebius2d", "qrt")
 
 
 def as_point(coords: Sequence[complex]) -> Point:
@@ -41,8 +41,8 @@ class IntegrableMap:
     varnames: Tuple[str, ...]
     params: dict
     components: Optional[Tuple[RatFunc, ...]]
-    invariants: Tuple[RatFunc, ...]
-    invariant_names: Tuple[str, ...]
+    invariants: Tuple[RatFunc, ...] = ()
+    invariant_names: Tuple[str, ...] = ()
     numeric_apply: Optional[Callable] = None
     exact_apply: Optional[Callable] = None
 
@@ -65,25 +65,31 @@ def _vars(names):
 
 # ---------------------------------------------------------------- builders
 
-def _build_lyness2(a: Fraction):
+# Each builder takes the map name and its normalised parameters and returns
+# the IntegrableMap; catalog_get checks the invariants afterwards.
+
+def _build_lyness2(name, params):
     x, = _vars("x")
-    comp = _rf(MPoly.const(a), x, vars=("x",))
-    return ("x",), (comp,), (), ()
+    comp = _rf(MPoly.const(params["a"]), x, vars=("x",))
+    return IntegrableMap(name, ("x",), params, (comp,))
 
 
-def _build_lyness5():
+def _build_lyness5(name, params):
     x, y = _vars(("x", "y"))
     vs = ("x", "y")
-    return vs, (_rf(1 + x, y, vars=vs), _rf(x, vars=vs)), (), ()
+    return IntegrableMap(name, vs, params,
+                         (_rf(1 + x, y, vars=vs), _rf(x, vars=vs)))
 
 
-def _build_lyness8():
+def _build_lyness8(name, params):
     x, y, z = _vars(("x", "y", "z"))
     vs = ("x", "y", "z")
-    return vs, (_rf(1 + x + y, z, vars=vs), _rf(x, vars=vs), _rf(y, vars=vs)), (), ()
+    return IntegrableMap(name, vs, params, (_rf(1 + x + y, z, vars=vs),
+                                            _rf(x, vars=vs), _rf(y, vars=vs)))
 
 
-def _lv3_polys():
+def lv3_polys():
+    """Coordinates x, y, z of lv3 and its factors A, B, C."""
     x, y, z = _vars(("x", "y", "z"))
     A = 1 - y + y * z
     B = 1 - z + z * x
@@ -91,13 +97,13 @@ def _lv3_polys():
     return x, y, z, A, B, C
 
 
-def _build_lv3():
-    x, y, z, A, B, C = _lv3_polys()
+def _build_lv3(name, params):
+    x, y, z, A, B, C = lv3_polys()
     vs = ("x", "y", "z")
     comps = (_rf(x * A, B, vars=vs), _rf(y * B, C, vars=vs), _rf(z * C, A, vars=vs))
     r = _rf(x * y * z, vars=vs)
     s = _rf((1 - x) * (1 - y) * (1 - z), vars=vs)
-    return vs, comps, (r, s), ("r", "s")
+    return IntegrableMap(name, vs, params, comps, (r, s), ("r", "s"))
 
 
 def _lv_invariant_polys(d: int):
@@ -143,6 +149,22 @@ def _nonadjacent_subsets(d: int, k: int):
     return out
 
 
+def lv_chain(xs, one, zero):
+    """The cyclic chain X_j(1-X_{j-1}) = x_j(1-x_{j+1}) as Moebius maps.
+
+    Generic over the coefficient ring (complex numbers or MPoly): returns
+    the right-hand sides rhs_j = x_j(1-x_{j+1}) and the coefficients
+    (a, b, c, e) with X_{d-1} = (a t + b)/(c t + e) for t = X_0.
+    """
+    d = len(xs)
+    rhs = [xs[j] * (1 - xs[(j + 1) % d]) for j in range(d)]
+    a, b, c, e = one, zero, zero, one
+    for j in range(1, d):
+        # X_j = rhs[j] / (1 - X_{j-1})
+        a, b, c, e = rhs[j] * c, rhs[j] * e, c - a, e - b
+    return rhs, (a, b, c, e)
+
+
 def lv_cyclic_apply(x: Point, tol: float = 1e-9):
     """Both solution branches of X_j(1-X_{j-1}) = x_j(1-x_{j+1}), cyclic.
 
@@ -150,12 +172,7 @@ def lv_cyclic_apply(x: Point, tol: float = 1e-9):
     consistency condition; returns a list of candidate image points.
     """
     d = len(x)
-    rhs = [x[j] * (1 - x[(j + 1) % d]) for j in range(d)]
-    # X_j as a Moebius function (a t + b)/(c t + e) of t = X_1
-    a, b, c, e = 1 + 0j, 0j, 0j, 1 + 0j
-    for j in range(1, d):
-        # X_j = rhs[j] / (1 - X_{j-1})
-        a, b, c, e = rhs[j] * c, rhs[j] * e, c - a, e - b
+    rhs, (a, b, c, e) = lv_chain(x, 1 + 0j, 0j)
     # consistency: t (1 - X_{d-1 -> back to j=0}) = rhs[0]
     # i.e. t((c - a) t + (e - b)) = rhs[0] (c t + e)
     coeffs = [c - a, e - b - rhs[0] * c, -rhs[0] * e]
@@ -204,28 +221,40 @@ def _make_lv4_apply(invariants):
     return apply_fn
 
 
-def _build_lv4():
+def _build_lv4(name, params):
     names, invs, inames = _lv_invariant_polys(4)
-    return names, None, invs, inames, _make_lv4_apply(invs), None
+    return IntegrableMap(name, names, params, None, invs, inames,
+                         numeric_apply=_make_lv4_apply(invs))
 
 
-def _build_toda3():
-    names = ("x", "y", "z", "u", "v", "w")
-    x, y, z, u, v, w = _vars(names)
+TODA3_VARS = ("x", "y", "z", "u", "v", "w")
+
+
+def toda3_polys():
+    """Coordinates of toda3, its factors A, B, C and invariants t1, t2."""
+    x, y, z, u, v, w = xs = _vars(TODA3_VARS)
     A = z * u + z * x + w * u
     B = y * w + y * z + v * w
     C = x * v + x * y + u * v
+    t1 = x + y + z + u + v + w
+    t2 = (x * y + y * z + z * x + u * v + v * w + w * u
+          + x * v + y * w + z * u)
+    return xs, A, B, C, t1, t2
+
+
+def _build_toda3(name, params):
+    names = TODA3_VARS
+    (x, y, z, u, v, w), A, B, C, t1, t2 = toda3_polys()
     comps = (
         _rf(y * A, B, vars=names), _rf(z * C, A, vars=names),
         _rf(x * B, C, vars=names), _rf(u * B, A, vars=names),
         _rf(v * A, C, vars=names), _rf(w * C, B, vars=names))
     invs = (
-        _rf(x + y + z + u + v + w, vars=names),
-        _rf(x * y + y * z + z * x + u * v + v * w + w * u
-            + x * v + y * w + z * u, vars=names),
+        _rf(t1, vars=names), _rf(t2, vars=names),
         _rf(x * y * z, vars=names),
         _rf(u * v * w, vars=names))
-    return names, comps, invs, ("t1", "t2", "t3", "t3p")
+    return IntegrableMap(name, names, params, comps, invs,
+                         ("t1", "t2", "t3", "t3p"))
 
 
 def _euler_alpha_from_inertia(I: Fraction, J: Fraction, K: Fraction):
@@ -289,7 +318,7 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _build_euler(params):
+def _build_euler(name, params):
     if all(k in params for k in ("I", "J", "K")):
         I, J, K = params["I"], params["J"], params["K"]
         al, be, ga = _euler_alpha_from_inertia(I, J, K)
@@ -319,10 +348,12 @@ def _build_euler(params):
     full.update(alpha=al, beta=be, gamma=ga)
     if I is not None:
         full.update(I=I, J=J, K=K)
-    return names, None, invs, ("h1", "h2"), apply_fn, exact_fn, full
+    return IntegrableMap(name, names, full, None, invs, ("h1", "h2"),
+                         apply_fn, exact_fn)
 
 
-def _build_moebius2d(a: Fraction, b: Fraction):
+def _build_moebius2d(name, params):
+    a, b = params["a"], params["b"]
     if a * b == 1:
         raise DegenerateParameterError(
             "moebius2d with a*b = 1 collapses to a constant map")
@@ -331,7 +362,7 @@ def _build_moebius2d(a: Fraction, b: Fraction):
     comps = (_rf((x + a) * y, vars=names),
              _rf(y * (1 + b * x), 1 + b * y * (x + a), vars=names))
     H = _rf(y * (1 + b * x), vars=names)
-    return names, comps, (H,), ("h",)
+    return IntegrableMap(name, names, params, comps, (H,), ("h",))
 
 
 def _coerce_six(q) -> Tuple[Fraction, ...]:
@@ -341,71 +372,95 @@ def _coerce_six(q) -> Tuple[Fraction, ...]:
     return q
 
 
-def _build_qrt(qp, qpp):
+def _build_qrt(name, params):
     from .qrt import qrt_component_y, qrt_invariant_ratfunc
-    qp = _coerce_six(qp)
-    qpp = _coerce_six(qpp)
+    qp, qpp = params["qp"], params["qpp"]
     names = ("x", "y")
     comp_y = qrt_component_y(qp, qpp).with_vars(names)
     if comp_y.den.is_zero():
         raise DegenerateParameterError("QRT map denominator is identically zero")
     comps = (_rf(MPoly.var("y"), vars=names), comp_y)
     H = qrt_invariant_ratfunc(qp, qpp).with_vars(names)
-    return names, comps, (H,), ("h",)
+    return IntegrableMap(name, names, params, comps, (H,), ("h",))
 
 
 # ---------------------------------------------------------------- registry
 
-_REQUIRED = {
-    "lyness2": ("a",),
-    "moebius2d": ("a", "b"),
-    "qrt": ("qp", "qpp"),
+@dataclass(frozen=True)
+class MapSpec:
+    """One catalogued map: how to build it and what its parameters are."""
+    build: Callable[[str, dict], IntegrableMap]
+    accepts: Tuple[str, ...] = ()       # parameter names catalog_get takes
+    six_vectors: Tuple[str, ...] = ()   # accepted names bound to six rationals
+    required: Tuple[str, ...] = ()
+    advertised: Tuple[str, ...] = ()    # `periodmaps list` and the CLI flags
+    period: Optional[int] = None        # set when every point has this period
+    # elimination target -> parameter values its transitions are sampled at
+    transitions: Mapping[str, Mapping[str, Fraction]] = field(
+        default_factory=dict)
+
+
+MAPS = {
+    "lyness2": MapSpec(_build_lyness2, accepts=("a",), required=("a",),
+                       advertised=("a",), period=2),
+    "lyness5": MapSpec(_build_lyness5, period=5),
+    "lyness8": MapSpec(_build_lyness8, period=8),
+    "lv3": MapSpec(_build_lv3),
+    "lv4": MapSpec(_build_lv4),
+    "toda3": MapSpec(_build_toda3),
+    "euler": MapSpec(
+        _build_euler, accepts=("alpha", "beta", "gamma", "I", "J", "K"),
+        advertised=("alpha", "beta", "gamma"),
+        transitions={"euler": {"alpha": Fraction(1, 3),
+                               "beta": Fraction(1, 5),
+                               "gamma": Fraction(-2, 7)}}),
+    "moebius2d": MapSpec(
+        _build_moebius2d, accepts=("a", "b"), required=("a", "b"),
+        advertised=("a", "b"),
+        # the worked example is the parameter-free member of the family
+        transitions={"moebius2d": {"a": Fraction(2), "b": Fraction(1, 3)},
+                     "example": {"a": Fraction(0), "b": Fraction(1)}}),
+    "qrt": MapSpec(_build_qrt, accepts=("qp", "qpp"),
+                   six_vectors=("qp", "qpp"), required=("qp", "qpp"),
+                   advertised=("qp", "qpp")),
 }
+
+MAP_NAMES = tuple(MAPS)
 
 _verified = set()
 
 
 def catalog_get(name: str, params: dict = None, **kw) -> IntegrableMap:
     """Construct a catalog map with its invariants attached and checked."""
-    if name not in MAP_NAMES:
+    spec = MAPS.get(name)
+    if spec is None:
         raise UnknownMapError(f"unknown map {name!r}; known: {MAP_NAMES}")
     bound = dict(params or {})
     bound.update(kw)
-    for req in _REQUIRED.get(name, ()):
+    for key in bound:
+        if key not in spec.accepts:
+            raise MissingParameterError(
+                f"{name} takes no parameter {key!r}; "
+                f"accepted: {list(spec.accepts)}")
+    for req in spec.required:
         if req not in bound:
             raise MissingParameterError(f"{name} requires parameter {req!r}")
-    norm = {}
-    for k, v in bound.items():
-        if k in ("qp", "qpp"):
-            norm[k] = _coerce_six(v)
-        else:
-            norm[k] = Fraction(v)
-    numeric_apply = exact_apply = None
-    if name == "lyness2":
-        vs, comps, invs, inames = _build_lyness2(norm["a"])
-    elif name == "lyness5":
-        vs, comps, invs, inames = _build_lyness5()
-    elif name == "lyness8":
-        vs, comps, invs, inames = _build_lyness8()
-    elif name == "lv3":
-        vs, comps, invs, inames = _build_lv3()
-    elif name == "lv4":
-        vs, comps, invs, inames, numeric_apply, exact_apply = _build_lv4()
-    elif name == "toda3":
-        vs, comps, invs, inames = _build_toda3()
-    elif name == "euler":
-        vs, comps, invs, inames, numeric_apply, exact_apply, norm = \
-            _build_euler(norm)
-    elif name == "moebius2d":
-        vs, comps, invs, inames = _build_moebius2d(norm["a"], norm["b"])
-    else:
-        vs, comps, invs, inames = _build_qrt(norm["qp"], norm["qpp"])
-    m = IntegrableMap(name=name, varnames=vs, params=norm,
-                      components=comps, invariants=invs,
-                      invariant_names=inames,
-                      numeric_apply=numeric_apply, exact_apply=exact_apply)
+    norm = {k: _coerce_six(v) if k in spec.six_vectors else Fraction(v)
+            for k, v in bound.items()}
+    m = spec.build(name, norm)
     _verify_invariants(m)
     return m
+
+
+def transition_params(target: str):
+    """(map, parameters) whose transitions elimination samples for target.
+
+    A target that no spec lists samples its own map with no parameters.
+    """
+    for name, spec in MAPS.items():
+        if target in spec.transitions:
+            return name, dict(spec.transitions[target])
+    return target, None
 
 
 def _param_signature(m: IntegrableMap):
@@ -429,15 +484,8 @@ def _verify_invariants(m: IntegrableMap, npoints: int = 20):
         if any(c == 0 for c in pt):
             continue
         try:
-            if m.components is not None:
-                img = tuple(c.eval_exact(pt) for c in m.components)
-                before = [h.eval_exact(pt) for h in m.invariants]
-                after = [h.eval_exact(img) for h in m.invariants]
-                if any(x != y for x, y in zip(before, after)):
-                    raise AssertionError(
-                        f"invariant not conserved exactly for {m.name} at {pt}")
-            elif m.exact_apply is not None:
-                img = m.exact_apply(pt)
+            if m.components is not None or m.exact_apply is not None:
+                img = apply_exact(m, pt)
                 before = [h.eval_exact(pt) for h in m.invariants]
                 after = [h.eval_exact(img) for h in m.invariants]
                 if any(x != y for x, y in zip(before, after)):

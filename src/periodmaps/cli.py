@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import varieties as V
 from .algebra import equal_up_to_scale
-from .catalog import MAP_NAMES, catalog_get, descriptor
+from .catalog import MAP_NAMES, MAPS, catalog_get, descriptor
 from .elim import check_fixture, default_transitions, derive, fixtures_for
 from .errors import (MissingParameterError, PeriodmapsError,
                      UnknownMapError, UnknownVarietyError)
@@ -24,6 +25,10 @@ from .orbit import exclusivity_scan, iterate, orbit_csv, verify_period
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# every parameter some map advertises is a flag; True marks a six-vector
+_PARAM_FLAGS = {k: k in spec.six_vectors
+                for spec in MAPS.values() for k in spec.advertised}
 
 
 def _fraction(text: str) -> Fraction:
@@ -38,15 +43,8 @@ def _fraction_list(text: str):
 
 
 def _collect_params(args) -> dict:
-    params = {}
-    for key in ("a", "b", "alpha", "beta", "gamma"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    for key in ("qp", "qpp"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {k: getattr(args, k) for k in _PARAM_FLAGS
+              if getattr(args, k, None) is not None}
     return params or None
 
 
@@ -108,31 +106,16 @@ def cmd_list(args) -> int:
     names = [args.map] if args.map else list(MAP_NAMES)
     entries = []
     for name in names:
+        spec = MAPS[name]
         entry = {"map": name, "periods": list(V.available_periods(name))}
-        if name == "lyness2":
-            entry["parameters"] = ["a"]
-            entry["note"] = "periodic for every initial point (period 2)"
-        elif name in ("lyness5", "lyness8"):
-            entry["note"] = "periodic for every initial point (period %d)" % (
-                5 if name == "lyness5" else 8)
-        elif name == "moebius2d":
-            entry["parameters"] = ["a", "b"]
-        elif name == "euler":
-            entry["parameters"] = ["alpha", "beta", "gamma"]
-        elif name == "qrt":
-            entry["parameters"] = ["qp", "qpp"]
+        if spec.advertised:
+            entry["parameters"] = list(spec.advertised)
+        if spec.period:
+            entry["note"] = ("periodic for every initial point (period %d)"
+                             % spec.period)
         entries.append(entry)
     _emit(args, {"maps": entries})
     return EXIT_OK
-
-
-def _off_variety_point(m, rng: random.Random):
-    while True:
-        p = tuple(complex(Fraction(rng.randint(-24, 24), 8),
-                          Fraction(rng.randint(-24, 24), 8))
-                  for _ in m.varnames)
-        if all(abs(c) >= 1e-3 for c in p):
-            return p
 
 
 def cmd_verify(args) -> int:
@@ -150,7 +133,7 @@ def cmd_verify(args) -> int:
         gens = [V.gamma_get(args.map, n, m=m)
                 for n in V.available_periods(args.map)]
         for i in range(args.seeds):
-            p = _off_variety_point(m, rng)
+            p = V.draw_point(rng, m.d)
             if any(V.membership(g, p, tol=args.tol)[0] for g in gens):
                 continue   # landed on a variety by accident, skip the draw
             try:
@@ -166,16 +149,15 @@ def cmd_verify(args) -> int:
                                          zip(range(2, 13), flags) if f]})
             ok = ok and good
     else:
-        if args.period is None:
-            raise SystemExit(EXIT_USAGE)
-        lyness = args.map.startswith("lyness")
-        g = None if lyness else V.gamma_get(args.map, args.period, m=m)
+        # a map periodic everywhere has no variety: any point will do
+        everywhere = MAPS[args.map].period is not None
+        g = None if everywhere else V.gamma_get(args.map, args.period, m=m)
         rng = random.Random(f"cli-verify:{args.map}:{args.seed}")
         for i in range(args.seeds):
             seed = args.seed + i
             try:
-                if lyness:
-                    p = _off_variety_point(m, rng)
+                if everywhere:
+                    p = V.draw_point(rng, m.d)
                 else:
                     p = V.sample_on_variety(g, seed)
                 rep = verify_period(m, p, args.period, tol=args.tol)
@@ -314,13 +296,8 @@ def _add_common(sp, period_required=True):
 
 
 def _add_params(sp):
-    sp.add_argument("--a", type=_fraction)
-    sp.add_argument("--b", type=_fraction)
-    sp.add_argument("--alpha", type=_fraction)
-    sp.add_argument("--beta", type=_fraction)
-    sp.add_argument("--gamma", type=_fraction)
-    sp.add_argument("--qp", type=_fraction_list)
-    sp.add_argument("--qpp", type=_fraction_list)
+    for key, six in _PARAM_FLAGS.items():
+        sp.add_argument("--" + key, type=_fraction_list if six else _fraction)
 
 
 def _add_output(sp):
@@ -371,8 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "period", None) is not None and args.period < 2:
+    # input argparse lets through; ap.error exits with EXIT_USAGE
+    period = getattr(args, "period", None)
+    if period is not None and period < 2:
         ap.error("--period must be at least 2")
+    if args.command == "verify" and period is None and not args.off_variety:
+        ap.error("verify needs --period unless --off-variety is given")
+    if getattr(args, "seeds", 1) < 1:
+        ap.error("--seeds must be at least 1")
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        ap.error("--tol must be a positive finite number")
+    if getattr(args, "steps", 0) < 0:
+        ap.error("--steps must not be negative")
     try:
         return args.fn(args)
     except (UnknownMapError, UnknownVarietyError,

@@ -16,8 +16,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (MPoly, divides, exact_divide, parse_poly, poly_gcd,
-                      resultant, squarefree_part)
+from .algebra import (MPoly, divides, exact_divide, normalize, parse_poly,
+                      poly_gcd, resultant, squarefree_part,
+                      strip_var_monomials)
+from .catalog import lv3_polys, lv_chain, toda3_polys, transition_params
 from .errors import EliminationError, NothingToEliminateError
 
 TRANSITION_TOL = 1e-8
@@ -54,22 +56,6 @@ def _vanishes(p: MPoly, transitions: Sequence[Transition],
               tol: float) -> bool:
     scale = 1 + float(p.max_abs_coeff())
     return all(abs(_eval_at(p, t)) <= tol * scale for t in transitions)
-
-
-def _strip_var_monomials(p: MPoly) -> MPoly:
-    for v in p.used_vars():
-        mv = MPoly.var(v).with_vars(p.vars)
-        while p.degree(v) and divides(mv, p):
-            p = exact_divide(p, mv)
-    return p
-
-
-def _normalize(p: MPoly) -> MPoly:
-    p = p.primitive()
-    c0 = p.constant_term()
-    if c0 < 0 or (c0 == 0 and p.leading_coeff() < 0):
-        p = -p
-    return p
 
 
 def _eliminate_once(polys: List[MPoly], v: str) -> List[MPoly]:
@@ -152,13 +138,13 @@ def _split_quadratic(p: MPoly, main: str):
 def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
                     transitions: Optional[Sequence[Transition]],
                     tol: float) -> MPoly:
-    p = _strip_var_monomials(p)
+    p = strip_var_monomials(p)
     main = next((v for v in p.used_vars() if v.isupper()),
                 None) or next(iter(p.used_vars()))
     p = squarefree_part(p, main)
     if transitions:
         for cand in spurious:
-            cand = _strip_var_monomials(cand.primitive())
+            cand = strip_var_monomials(cand.primitive())
             if cand.total_degree() == 0:
                 continue
             if _vanishes(cand, transitions, tol):
@@ -177,8 +163,8 @@ def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
                 keepers = [f for f in split
                            if _vanishes(f, transitions, tol)]
                 if len(keepers) == 1:
-                    p = _strip_var_monomials(keepers[0])
-    return _normalize(p)
+                    p = strip_var_monomials(keepers[0])
+    return normalize(p)
 
 
 def eliminate(prob: EliminationProblem,
@@ -296,23 +282,10 @@ def make_transitions(map_name: str, period: int, count: int = 12,
 
 def _lv4_chain_consistency(names: Sequence[str], cap: str) -> MPoly:
     """Consistency quadratic of the cyclic implicit chain, in cap = X_1."""
-    vp = {n: MPoly.var(n) for n in names}
-    d = len(names)
-    rhs = [vp[names[j]] * (1 - vp[names[(j + 1) % d]]) for j in range(d)]
-    a, b = MPoly.const(1), MPoly.zero()
-    c, e = MPoly.zero(), MPoly.const(1)
-    for j in range(1, d):
-        a, b, c, e = rhs[j] * c, rhs[j] * e, c - a, e - b
+    rhs, (a, b, c, e) = lv_chain([MPoly.var(n) for n in names],
+                                 MPoly.const(1), MPoly.zero())
     t = MPoly.var(cap)
     return t * ((c - a) * t + (e - b)) - rhs[0] * (c * t + e)
-
-
-def _lv3_polys():
-    x, y, z = MPoly.var("x"), MPoly.var("y"), MPoly.var("z")
-    A = 1 - y + y * z
-    B = 1 - z + z * x
-    C = 1 - x + x * y
-    return x, y, z, A, B, C
 
 
 def standard_problems(map_name: str, period: int) -> List[EliminationProblem]:
@@ -328,7 +301,7 @@ def standard_problems(map_name: str, period: int) -> List[EliminationProblem]:
     if map_name == "lv3":
         g = gamma_get("lv3", period)
         gam = g.composed_numerators()[0]
-        x, y, z, A, B, C = _lv3_polys()
+        x, y, z, A, B, C = lv3_polys()
         relX = MPoly.var("X") * B - x * A
         relY = MPoly.var("Y") * C - y * B
         if period == 2:
@@ -364,14 +337,7 @@ def standard_problems(map_name: str, period: int) -> List[EliminationProblem]:
     if map_name == "toda3":
         if period != 3:
             raise EliminationError("only the period-3 variety is catalogued")
-        names = ("x", "y", "z", "u", "v", "w")
-        x, y, z, u, v, w = (MPoly.var(n) for n in names)
-        A = z * u + z * x + w * u
-        B = y * w + y * z + v * w
-        C = x * v + x * y + u * v
-        t1 = x + y + z + u + v + w
-        t2 = (x * y + y * z + z * x + u * v + v * w + w * u
-              + x * v + y * w + z * u)
+        (x, y, z, u, v, w), A, B, C, t1, t2 = toda3_polys()
         comps = {"X": (y, A, B), "Y": (z, C, A), "U": (u, B, A),
                  "V": (v, A, C)}
         probs = []
@@ -417,22 +383,11 @@ def fixtures_for(map_name: str, period: int) -> List[Fixture]:
     return out
 
 
-_DEFAULT_PARAMS = {
-    "moebius2d": {"a": Fraction(2), "b": Fraction(1, 3)},
-    "euler": {"alpha": Fraction(1, 3), "beta": Fraction(1, 5),
-              "gamma": Fraction(-2, 7)},
-}
-
-
 def default_transitions(map_name: str, period: int,
                         count: int = 12) -> List[Transition]:
-    if map_name == "example":
-        # the worked example is the parameter-free member of the
-        # two-dimensional Moebius-reduction family
-        return make_transitions("moebius2d", period, count=count,
-                                params={"a": Fraction(0), "b": Fraction(1)})
-    params = _DEFAULT_PARAMS.get(map_name)
-    return make_transitions(map_name, period, count=count, params=params)
+    """Transitions at the parameter values the catalog records for map_name."""
+    owner, params = transition_params(map_name)
+    return make_transitions(owner, period, count=count, params=params)
 
 
 def _fixture_residual(fix: Fixture, t: Transition) -> float:

@@ -42,7 +42,7 @@ class UnknownMapError(PeriodmapsError):
 
 
 class MissingParameterError(PeriodmapsError):
-    """A required map parameter was not bound."""
+    """A map parameter is unbound, malformed, or not one the map takes."""
 
 
 class DegenerateParameterError(PeriodmapsError):

@@ -14,11 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .algebra import MPoly, RatFunc, divides, exact_divide, poly_gcd
+from .algebra import (MPoly, RatFunc, divides, exact_divide, normalize,
+                      poly_gcd, strip_var_monomials)
 from .errors import DegenerateFamilyError, DegenerateParameterError
 from .recurrence import RecurrenceRelation
-
-SYMBOLS = ("a", "b", "h")
 
 
 @dataclass(frozen=True)
@@ -78,27 +77,11 @@ def _condition_numerators(n: int):
     return conds
 
 
-def _strip_var_factors(p: MPoly) -> MPoly:
-    for v in SYMBOLS:
-        mv = MPoly.var(v)
-        while p.degree(v) and divides(mv, p):
-            p = exact_divide(p, mv)
-    return p
-
-
-def _normalize(p: MPoly) -> MPoly:
-    p = p.primitive()
-    c0 = p.constant_term()
-    if c0 < 0 or (c0 == 0 and p.leading_coeff() < 0):
-        p = -p
-    return p
-
-
 @lru_cache(maxsize=None)
 def _raw_common_factor(n: int) -> MPoly:
     na, nb, nh = _condition_numerators(n)
     g = poly_gcd(poly_gcd(na, nb), nh)
-    g = _strip_var_factors(g)
+    g = strip_var_monomials(g)
     if g.total_degree() == 0:
         raise DegenerateFamilyError(
             f"period-{n} conditions share no polynomial factor",
@@ -125,11 +108,11 @@ def derive_gamma(n: int) -> MPoly:
         gd = derive_gamma(d)
         while divides(gd, g) and g.total_degree() > 0:
             g = exact_divide(g, gd)
-    g = _strip_var_factors(g)
+    g = strip_var_monomials(g)
     if g.total_degree() == 0:
         raise DegenerateFamilyError(
             f"no new factor left for period {n} after divisor removal")
-    return _normalize(g)
+    return normalize(g)
 
 
 def recurrence_F(n: int, a=None, b=None) -> RecurrenceRelation:

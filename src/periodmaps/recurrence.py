@@ -1,18 +1,16 @@
-"""Bivariate recurrence polynomials F(x, X) and branch-followed orbits.
+"""Bivariate recurrence polynomials F(x, X).
 
 A recurrence relation here is a polynomial constraint F(X, x) = 0 whose
 (generally multivalued) solutions X are all periodic with one fixed period.
-Branch policy: at every step past the first, take the root farthest from
-the point two steps back, which excludes backtracking on a 2-valued
-correspondence; ties break by the fixed root ordering.
+roots_at gives the candidate images X of one point x, in the fixed root
+ordering of algebra.roots; choosing among them is left to the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MPoly, roots_of_poly, root_sort_key
-from .errors import BranchSelectionError, RootFindingError
+from .algebra import MPoly, roots_of_poly
 
 
 @dataclass(frozen=True)
@@ -30,28 +28,3 @@ class RecurrenceRelation:
         if extra:
             point.update(extra)
         return roots_of_poly(self.F, "X", point, tol=tol)
-
-    def to_json(self) -> dict:
-        return {"period": self.period, "source": self.source,
-                "F": str(self.F), "vars": list(self.F.used_vars())}
-
-
-def follow_orbit(rec: RecurrenceRelation, x0: complex, steps: int,
-                 branch: int = 0, tol: float = 1e-9, extra: dict = None):
-    """Iterate the recurrence, starting on the given first-step branch."""
-    first = rec.roots_at(x0, tol=tol, extra=extra)
-    if branch >= len(first):
-        raise BranchSelectionError(
-            f"requested branch {branch} of {len(first)} available roots")
-    orbit = [complex(x0), first[branch]]
-    while len(orbit) < steps + 1:
-        prev, cur = orbit[-2], orbit[-1]
-        try:
-            cands = rec.roots_at(cur, tol=tol, extra=extra)
-        except RootFindingError as exc:
-            raise BranchSelectionError(
-                f"root solve failed at step {len(orbit)}: {exc}") from exc
-        cands = sorted(cands, key=root_sort_key)
-        nxt = max(cands, key=lambda z: (abs(z - prev), root_sort_key(z)))
-        orbit.append(nxt)
-    return orbit

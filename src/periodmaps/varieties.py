@@ -15,8 +15,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import (MPoly, RatFunc, compose_parts, compose_poly,
-                      parse_poly, root_sort_key, roots_of_poly)
+from .algebra import (MPoly, RatFunc, compose_parts, parse_poly,
+                      root_sort_key, roots_of_poly)
 from .catalog import IntegrableMap, catalog_get
 from .errors import (PoleError, RootFindingError, SamplingError,
                      UnknownVarietyError)
@@ -58,11 +58,6 @@ class VarietyGenerator:
     def l(self) -> int:
         return len(self.gammas)
 
-    def composed(self) -> Tuple[RatFunc, ...]:
-        """The generators as rational functions of the map coordinates."""
-        return tuple(compose_poly(g, self.substitution).with_vars(
-            self.owner.varnames) for g in self.gammas)
-
     def composed_numerators(self) -> Tuple[MPoly, ...]:
         """Unreduced numerators of the composed generators, cached.
 
@@ -76,12 +71,6 @@ class VarietyGenerator:
                     self.owner.varnames) for g in self.gammas)
             object.__setattr__(self, "_num_cache", cached)
         return cached
-
-    def to_json(self) -> dict:
-        return {"map": self.map_name, "period": self.period,
-                "gammas": [str(g) for g in self.gammas],
-                "symbols": sorted({v for g in self.gammas
-                                   for v in g.used_vars()})}
 
 
 def available_periods(map_name: str) -> Tuple[int, ...]:
@@ -162,13 +151,26 @@ def membership(g: VarietyGenerator, p: Sequence[complex],
 
 # --------------------------------------------------------------- sampling
 
+def _grid_coord(rng: random.Random) -> complex:
+    re = Fraction(rng.randint(-GRID_SPAN, GRID_SPAN), GRID_DENOM)
+    im = Fraction(rng.randint(-GRID_SPAN, GRID_SPAN), GRID_DENOM)
+    return complex(re, im)
+
+
 def _draw_coord(rng: random.Random) -> complex:
+    """One grid coordinate; a draw too close to 0 is redrawn alone."""
     while True:
-        re = Fraction(rng.randint(-GRID_SPAN, GRID_SPAN), GRID_DENOM)
-        im = Fraction(rng.randint(-GRID_SPAN, GRID_SPAN), GRID_DENOM)
-        z = complex(re, im)
+        z = _grid_coord(rng)
         if abs(z) >= MIN_COORD:
             return z
+
+
+def draw_point(rng: random.Random, d: int):
+    """d grid coordinates; if any is too close to 0 the whole tuple is redrawn."""
+    while True:
+        p = tuple(_grid_coord(rng) for _ in range(d))
+        if all(abs(c) >= MIN_COORD for c in p):
+            return p
 
 
 def _polish_root(coeffs, z: complex) -> complex:

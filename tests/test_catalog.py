@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from periodmaps.algebra import MPoly, RatFunc
 from periodmaps.catalog import (
-    MAP_NAMES, apply_exact, apply_map, catalog_get, descriptor,
-    invariants_eval, lv_cyclic_apply)
+    MAP_NAMES, IntegrableMap, _verify_invariants, apply_exact, apply_map,
+    catalog_get, descriptor, invariants_eval, lv_cyclic_apply)
 from periodmaps.errors import (
     DegenerateParameterError, MissingParameterError, PoleError,
     UnknownMapError)
@@ -45,6 +46,10 @@ def test_unknown_map_and_missing_parameter():
         catalog_get("lyness2")
     with pytest.raises(MissingParameterError):
         catalog_get("moebius2d", a=1)
+    with pytest.raises(MissingParameterError, match="'a'"):
+        catalog_get("lv3", a=5)
+    with pytest.raises(MissingParameterError, match="'I'"):
+        catalog_get("moebius2d", a=2, b=Fraction(1, 3), I=1)
 
 
 def test_degenerate_moebius_parameters_rejected():
@@ -169,3 +174,21 @@ def test_invariants_eval_matches_components():
     pt = (1.5, -0.25, 2.0)
     vals = invariants_eval(m, pt)
     assert abs(vals[0] - (1.5 * -0.25 * 2.0)) < 1e-12
+
+
+def _shift(p):
+    return tuple(c + 1 for c in p)
+
+
+@pytest.mark.parametrize("step", [
+    {"components": (RatFunc(MPoly.var("x") + 1),)},
+    {"components": None, "exact_apply": _shift},
+    {"components": None, "numeric_apply": _shift},
+], ids=["explicit", "exact-implicit", "numeric-only"])
+def test_invariant_check_rejects_a_non_conserved_invariant(step):
+    # x -> x + 1 does not conserve h = x, whatever kind of step carries it
+    m = IntegrableMap(name="shift", varnames=("x",), params={},
+                      invariants=(RatFunc(MPoly.var("x")),),
+                      invariant_names=("h",), **step)
+    with pytest.raises(AssertionError, match="shift"):
+        _verify_invariants(m)

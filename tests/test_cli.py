@@ -113,3 +113,68 @@ def test_out_flag_writes_a_file(tmp_path, capsys):
     assert code == EXIT_OK
     rep = json.loads(target.read_text())
     assert rep["residual_summary"]["passed"] == 2
+
+
+# The whole `periodmaps list` report, so that any drift of the map registry
+# (a parameter, a note, a period) shows up here.
+LIST_REPORT = {"maps": [
+    {"map": "lyness2", "note": "periodic for every initial point (period 2)",
+     "parameters": ["a"], "periods": []},
+    {"map": "lyness5", "note": "periodic for every initial point (period 5)",
+     "periods": []},
+    {"map": "lyness8", "note": "periodic for every initial point (period 8)",
+     "periods": []},
+    {"map": "lv3", "periods": [2, 3, 4, 5]},
+    {"map": "lv4", "periods": [2]},
+    {"map": "toda3", "periods": [3]},
+    {"map": "euler", "parameters": ["alpha", "beta", "gamma"], "periods": [3]},
+    {"map": "moebius2d", "parameters": ["a", "b"], "periods": [2, 3, 4, 5, 6]},
+    {"map": "qrt", "parameters": ["qp", "qpp"], "periods": [3, 4, 5]},
+]}
+
+
+def test_list_report_is_pinned(capsys):
+    code, out, _ = _run(capsys, "list")
+    assert code == EXIT_OK
+    assert out == json.dumps(LIST_REPORT, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name, period, flags, params", [
+    ("lyness2", 2, ["--a", "7"], {"a": "7"}),
+    ("moebius2d", 3, ["--a", "2", "--b", "1/3"], {"a": "2", "b": "1/3"}),
+    ("euler", 3, ["--alpha", "1/3", "--beta", "1/5", "--gamma=-2/7"],
+     {"alpha": "1/3", "beta": "1/5", "gamma": "-2/7"}),
+    ("qrt", 4, ["--qp", "1,2,0,3,1,2", "--qpp", "0,1,1,0,2,1"],
+     {"qp": ["1", "2", "0", "3", "1", "2"],
+      "qpp": ["0", "1", "1", "0", "2", "1"]}),
+])
+def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
+    code, out, _ = _run(capsys, "verify", "--map", name, "--period",
+                        str(period), "--seeds", "2", *flags)
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["map_descriptor"]["params"] == params
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--map", "lv3"], "--period"),
+    (["verify", "--map", "lv3", "--period", "3", "--seeds", "-5"], "--seeds"),
+    (["verify", "--map", "lv3", "--period", "3", "--seeds", "0"], "--seeds"),
+    (["verify", "--map", "lv3", "--period", "3", "--tol", "-1"], "--tol"),
+    (["verify", "--map", "lv3", "--period", "3", "--tol", "0"], "--tol"),
+    (["verify", "--map", "lv3", "--period", "3", "--tol", "nan"], "--tol"),
+    (["verify", "--map", "lv3", "--period", "3", "--tol", "inf"], "--tol"),
+    (["orbit", "--map", "lyness8", "--init", "1,1,1", "--steps", "-2"],
+     "--steps"),
+    (["verify", "--map", "lv3", "--period", "3", "--a", "5"], "'a'"),
+], ids=["verify-without-period", "negative-seeds", "zero-seeds",
+        "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
+        "negative-steps", "foreign-parameter"])
+def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert message in out.err
+    assert out.out == ""
