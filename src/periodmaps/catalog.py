@@ -21,8 +21,9 @@ import numpy as np
 
 from .algebra import MPoly, RatFunc
 from .errors import (BranchSelectionError, DegenerateParameterError,
-                     MissingParameterError, NonFiniteError, PoleError,
-                     SingularSystemError, UnknownMapError)
+                     MissingParameterError, NonFiniteError,
+                     NotRecordedError, PoleError, SingularSystemError,
+                     UnknownMapError)
 
 Point = Tuple[complex, ...]
 
@@ -45,6 +46,10 @@ class IntegrableMap:
     invariant_names: Tuple[str, ...] = ()
     numeric_apply: Optional[Callable] = None
     exact_apply: Optional[Callable] = None
+    # period -> (image coordinate -> its relation with the point, variety
+    # numerators) that elimination starts from, for a map whose relations
+    # are not its components' X*den - num and its composed variety
+    relations: Optional[Callable] = None
 
     @property
     def d(self) -> int:
@@ -88,18 +93,12 @@ def _build_lyness8(name, params):
                                             _rf(x, vars=vs), _rf(y, vars=vs)))
 
 
-def lv3_polys():
-    """Coordinates x, y, z of lv3 and its factors A, B, C."""
-    x, y, z = _vars(("x", "y", "z"))
+def _build_lv3(name, params):
+    vs = ("x", "y", "z")
+    x, y, z = _vars(vs)
     A = 1 - y + y * z
     B = 1 - z + z * x
     C = 1 - x + x * y
-    return x, y, z, A, B, C
-
-
-def _build_lv3(name, params):
-    x, y, z, A, B, C = lv3_polys()
-    vs = ("x", "y", "z")
     comps = (_rf(x * A, B, vars=vs), _rf(y * B, C, vars=vs), _rf(z * C, A, vars=vs))
     r = _rf(x * y * z, vars=vs)
     s = _rf((1 - x) * (1 - y) * (1 - z), vars=vs)
@@ -221,30 +220,37 @@ def _make_lv4_apply(invariants):
     return apply_fn
 
 
+def _lv4_relations(period):
+    """The consistency quadratic of each image coordinate solved for, from
+    the cyclic chain started at its point coordinate, and the lv4 variety."""
+    from .varieties import gamma_get
+    names = ("x", "y", "z", "u")
+    rels = {}
+    for cap, _ in elimination_setups("lv4", period):
+        k = names.index(cap.lower())
+        rhs, (a, b, c, e) = lv_chain(_vars(names[k:] + names[:k]),
+                                     MPoly.const(1), MPoly.zero())
+        t = MPoly.var(cap)
+        rels[cap] = t * ((c - a) * t + (e - b)) - rhs[0] * (c * t + e)
+    return rels, gamma_get("lv4", period).composed_numerators()
+
+
 def _build_lv4(name, params):
     names, invs, inames = _lv_invariant_polys(4)
     return IntegrableMap(name, names, params, None, invs, inames,
-                         numeric_apply=_make_lv4_apply(invs))
+                         numeric_apply=_make_lv4_apply(invs),
+                         relations=_lv4_relations)
 
 
-TODA3_VARS = ("x", "y", "z", "u", "v", "w")
-
-
-def toda3_polys():
-    """Coordinates of toda3, its factors A, B, C and invariants t1, t2."""
-    x, y, z, u, v, w = xs = _vars(TODA3_VARS)
+def _build_toda3(name, params):
+    names = ("x", "y", "z", "u", "v", "w")
+    x, y, z, u, v, w = _vars(names)
     A = z * u + z * x + w * u
     B = y * w + y * z + v * w
     C = x * v + x * y + u * v
     t1 = x + y + z + u + v + w
     t2 = (x * y + y * z + z * x + u * v + v * w + w * u
           + x * v + y * w + z * u)
-    return xs, A, B, C, t1, t2
-
-
-def _build_toda3(name, params):
-    names = TODA3_VARS
-    (x, y, z, u, v, w), A, B, C, t1, t2 = toda3_polys()
     comps = (
         _rf(y * A, B, vars=names), _rf(z * C, A, vars=names),
         _rf(x * B, C, vars=names), _rf(u * B, A, vars=names),
@@ -362,7 +368,17 @@ def _build_moebius2d(name, params):
     comps = (_rf((x + a) * y, vars=names),
              _rf(y * (1 + b * x), 1 + b * y * (x + a), vars=names))
     H = _rf(y * (1 + b * x), vars=names)
-    return IntegrableMap(name, names, params, comps, (H,), ("h",))
+    return IntegrableMap(name, names, params, comps, (H,), ("h",),
+                         relations=_moebius2d_relations)
+
+
+def _moebius2d_relations(period):
+    """X = (x + a) y and the period variety, with a and b kept as symbols:
+    the recorded recurrences hold for the whole family."""
+    from .moebius import derive_gamma
+    x, y, a, b = _vars(("x", "y", "a", "b"))
+    gam = derive_gamma(period).subs_poly({"h": y * (1 + b * x)})
+    return {"X": MPoly.var("X") - (x + a) * y}, (gam,)
 
 
 def _coerce_six(q) -> Tuple[Fraction, ...]:
@@ -395,9 +411,14 @@ class MapSpec:
     required: Tuple[str, ...] = ()
     advertised: Tuple[str, ...] = ()    # `periodmaps list` and the CLI flags
     period: Optional[int] = None        # set when every point has this period
-    # elimination target -> parameter values its transitions are sampled at
+    # elimination target -> parameter values its transitions are sampled at;
+    # a target other than the map itself is the map at those values
     transitions: Mapping[str, Mapping[str, Fraction]] = field(
         default_factory=dict)
+    # elimination target -> period -> (image coordinate solved for,
+    # variables eliminated) of each problem `eliminate` runs there
+    eliminations: Mapping[str, Mapping[int, Tuple[
+        Tuple[str, Tuple[str, ...]], ...]]] = field(default_factory=dict)
 
 
 MAPS = {
@@ -405,9 +426,13 @@ MAPS = {
                        advertised=("a",), period=2),
     "lyness5": MapSpec(_build_lyness5, period=5),
     "lyness8": MapSpec(_build_lyness8, period=8),
-    "lv3": MapSpec(_build_lv3),
-    "lv4": MapSpec(_build_lv4),
-    "toda3": MapSpec(_build_toda3),
+    "lv3": MapSpec(_build_lv3, eliminations={"lv3": {
+        2: (("X", ("y", "z")), ("Y", ("z", "x"))),
+        **{n: (("X", ("z",)), ("Y", ("z",))) for n in (3, 4, 5)}}}),
+    "lv4": MapSpec(_build_lv4, eliminations={"lv4": {
+        2: (("X", ("u", "y")), ("Y", ("u",)), ("Z", ("u", "y")))}}),
+    "toda3": MapSpec(_build_toda3, eliminations={"toda3": {
+        3: tuple((cap, ("z", "w")) for cap in "XYUV")}}),
     "euler": MapSpec(
         _build_euler, accepts=("alpha", "beta", "gamma", "I", "J", "K"),
         advertised=("alpha", "beta", "gamma"),
@@ -419,7 +444,9 @@ MAPS = {
         advertised=("a", "b"),
         # the worked example is the parameter-free member of the family
         transitions={"moebius2d": {"a": Fraction(2), "b": Fraction(1, 3)},
-                     "example": {"a": Fraction(0), "b": Fraction(1)}}),
+                     "example": {"a": Fraction(0), "b": Fraction(1)}},
+        eliminations={"moebius2d": {n: (("X", ("y",)),) for n in range(2, 9)},
+                      "example": {3: (("X", ("y",)),)}}),
     "qrt": MapSpec(_build_qrt, accepts=("qp", "qpp"),
                    six_vectors=("qp", "qpp"), required=("qp", "qpp"),
                    advertised=("qp", "qpp")),
@@ -437,11 +464,7 @@ def catalog_get(name: str, params: dict = None, **kw) -> IntegrableMap:
         raise UnknownMapError(f"unknown map {name!r}; known: {MAP_NAMES}")
     bound = dict(params or {})
     bound.update(kw)
-    for key in bound:
-        if key not in spec.accepts:
-            raise MissingParameterError(
-                f"{name} takes no parameter {key!r}; "
-                f"accepted: {list(spec.accepts)}")
+    check_params(name, bound)
     for req in spec.required:
         if req not in bound:
             raise MissingParameterError(f"{name} requires parameter {req!r}")
@@ -450,6 +473,18 @@ def catalog_get(name: str, params: dict = None, **kw) -> IntegrableMap:
     m = spec.build(name, norm)
     _verify_invariants(m)
     return m
+
+
+def check_params(name: str, params) -> None:
+    """Reject a parameter the map does not take.
+
+    A name MAPS does not hold (the worked example) takes none.
+    """
+    accepts = MAPS[name].accepts if name in MAPS else ()
+    for key in params or {}:
+        if key not in accepts:
+            raise MissingParameterError(
+                f"{name} takes no parameter {key!r}; accepted: {list(accepts)}")
 
 
 def transition_params(target: str):
@@ -461,6 +496,18 @@ def transition_params(target: str):
         if target in spec.transitions:
             return name, dict(spec.transitions[target])
     return target, None
+
+
+def elimination_setups(target: str, period: int):
+    """(image coordinate, eliminated variables) of each problem recorded
+    for (target, period); NotRecordedError if there are none."""
+    recorded = next((spec.eliminations[target] for spec in MAPS.values()
+                     if target in spec.eliminations), {})
+    if period not in recorded:
+        raise NotRecordedError(
+            f"no elimination recorded for ({target}, {period}); "
+            f"recorded periods: {sorted(recorded)}")
+    return recorded[period]
 
 
 def _param_signature(m: IntegrableMap):

@@ -16,10 +16,11 @@ from fractions import Fraction
 
 from . import varieties as V
 from .algebra import equal_up_to_scale
-from .catalog import MAP_NAMES, MAPS, catalog_get, descriptor
+from .catalog import (MAP_NAMES, MAPS, catalog_get, check_params, descriptor,
+                      elimination_setups)
 from .elim import check_fixture, default_transitions, derive, fixtures_for
-from .errors import (MissingParameterError, PeriodmapsError,
-                     UnknownMapError, UnknownVarietyError)
+from .errors import (MissingParameterError, NotRecordedError,
+                     PeriodmapsError, UnknownMapError, UnknownVarietyError)
 from .orbit import exclusivity_scan, iterate, orbit_csv, verify_period
 
 EXIT_OK = 0
@@ -211,54 +212,49 @@ def cmd_eliminate(args) -> int:
     t0 = time.monotonic()
     params = _collect_params(args)
     name = args.map
+    check_params(name, params)
+    # a pair with nothing recorded is a usage error, raised before sampling
+    elimination_setups(name, args.period)
+    try:
+        fixes = fixtures_for(name, args.period)
+    except NotRecordedError:
+        fixes = None            # derivable, but nothing recorded to match
     try:
         transitions = default_transitions(name, args.period)
     except PeriodmapsError:
         transitions = None
     results = derive(name, args.period, transitions=transitions,
                      tol=args.tol)
-    if name == "moebius2d" and params:
-        results = [r.subs_values({k: Fraction(v) for k, v in params.items()
-                                  if k in ("a", "b")}).primitive()
-                   for r in results]
+    targets = [(fix.index, fix.F) for fix in fixes or ()]
+    if params:
+        # the family's recurrences at the given parameter values
+        results = [r.subs_values(params).primitive() for r in results]
+        targets = [(i, F.subs_values(params).primitive())
+                   for i, F in targets]
     verdicts = []
-    ok = True
-    try:
-        fixes = fixtures_for(name, args.period)
-    except PeriodmapsError:
-        fixes = []
     for r in results:
+        match = next((i for i, F in targets if equal_up_to_scale(r, F)),
+                     None)
         entry = {"F": str(r)}
-        if fixes:
-            match = None
-            for fix in fixes:
-                target = fix.F
-                if name == "moebius2d" and params:
-                    target = target.subs_values(
-                        {k: Fraction(v) for k, v in params.items()
-                         if k in ("a", "b")}).primitive()
-                if equal_up_to_scale(r, target):
-                    match = fix.index
-                    break
+        if fixes is not None:
             entry["fixture_match"] = match
-            entry["pass"] = match is not None
-            ok = ok and entry["pass"]
-        else:
-            entry["pass"] = True
+        entry["pass"] = fixes is None or match is not None
         verdicts.append(entry)
     config = {"command": "eliminate", "map": name, "period": args.period,
               "tol": args.tol, "params": {k: str(v) for k, v in
                                           (params or {}).items()}}
     _emit(args, _report(args, config, verdicts, t0))
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_FAIL
 
 
 def cmd_orbit(args) -> int:
     params = _collect_params(args)
     m = catalog_get(args.map, params=params)
     init = tuple(complex(c) for c in args.init)
-    if len(init) != len(m.varnames):
-        raise SystemExit(EXIT_USAGE)
+    if len(init) != m.d:
+        print(f"usage error: --init has {len(init)} coordinates, "
+              f"{args.map} takes {m.d}", file=sys.stderr)
+        return EXIT_USAGE
     pts = iterate(m, init, args.steps)
     if args.format == "csv":
         _emit(args, orbit_csv(pts, m.varnames))
@@ -270,17 +266,14 @@ def cmd_orbit(args) -> int:
 
 def cmd_fixtures(args) -> int:
     t0 = time.monotonic()
-    verdicts = []
-    ok = True
-    for fix in fixtures_for(args.map, args.period):
-        v = check_fixture(fix, tol=args.tol)
+    verdicts = check_fixture(fixtures_for(args.map, args.period),
+                             tol=args.tol)
+    for v in verdicts:
         v["pass"] = v["behavioral"] and v["symbolic"] is not False
-        ok = ok and v["pass"]
-        verdicts.append(v)
     config = {"command": "fixtures", "map": args.map, "period": args.period,
               "tol": args.tol}
     _emit(args, _report(args, config, verdicts, t0))
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------- wiring
@@ -363,8 +356,8 @@ def main(argv=None) -> int:
         ap.error("--steps must not be negative")
     try:
         return args.fn(args)
-    except (UnknownMapError, UnknownVarietyError,
-            MissingParameterError) as exc:
+    except (UnknownMapError, UnknownVarietyError, MissingParameterError,
+            NotRecordedError) as exc:
         extra = ""
         if getattr(exc, "available", None):
             extra = f" (available periods: {list(exc.available)})"

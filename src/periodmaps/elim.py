@@ -16,11 +16,15 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (MPoly, divides, exact_divide, normalize, parse_poly,
-                      poly_gcd, resultant, squarefree_part,
-                      strip_var_monomials)
-from .catalog import lv3_polys, lv_chain, toda3_polys, transition_params
-from .errors import EliminationError, NothingToEliminateError
+from .algebra import (MPoly, divides, equal_up_to_scale, exact_divide,
+                      normalize, parse_poly, poly_gcd, resultant,
+                      squarefree_part, strip_var_monomials)
+from .catalog import (apply_map, catalog_get, elimination_setups,
+                      transition_params)
+from .errors import (BranchSelectionError, EliminationError,
+                     NotRecordedError, NothingToEliminateError, PoleError,
+                     SamplingError, SingularSystemError)
+from .varieties import gamma_get, sample_on_variety
 
 TRANSITION_TOL = 1e-8
 MIN_TRANSITIONS = 8
@@ -251,10 +255,6 @@ def make_transitions(map_name: str, period: int, count: int = 12,
     parameterized maps the parameter values ride along so fixtures with
     parameter symbols evaluate directly.
     """
-    from .catalog import apply_map, catalog_get
-    from .varieties import gamma_get, sample_on_variety
-    from .errors import (PoleError, SamplingError, BranchSelectionError,
-                         SingularSystemError)
     m = catalog_get(map_name, params=params, **kw)
     g = gamma_get(map_name, period, m=m)
     out = []
@@ -280,102 +280,51 @@ def make_transitions(map_name: str, period: int, count: int = 12,
     return out
 
 
-def _lv4_chain_consistency(names: Sequence[str], cap: str) -> MPoly:
-    """Consistency quadratic of the cyclic implicit chain, in cap = X_1."""
-    rhs, (a, b, c, e) = lv_chain([MPoly.var(n) for n in names],
-                                 MPoly.const(1), MPoly.zero())
-    t = MPoly.var(cap)
-    return t * ((c - a) * t + (e - b)) - rhs[0] * (c * t + e)
-
-
 def standard_problems(map_name: str, period: int) -> List[EliminationProblem]:
-    """The elimination setups that reproduce the recorded fixtures."""
-    from .varieties import gamma_get
-    if map_name == "example":
-        if period != 3:
-            raise EliminationError("the worked example is the period-3 case")
-        rel = parse_poly("X - x*y", ("x", "y", "X"))
-        gam = parse_poly("(1+x)^2*y^2 + (1+x)*y + 1", ("x", "y"))
-        return [EliminationProblem((rel, gam), eliminate=("y",),
-                                   keep=("x", "X"))]
-    if map_name == "lv3":
-        g = gamma_get("lv3", period)
-        gam = g.composed_numerators()[0]
-        x, y, z, A, B, C = lv3_polys()
-        relX = MPoly.var("X") * B - x * A
-        relY = MPoly.var("Y") * C - y * B
-        if period == 2:
-            return [
-                EliminationProblem((relX, gam), eliminate=("y", "z"),
-                                   keep=("x", "X")),
-                EliminationProblem((relY, gam), eliminate=("z", "x"),
-                                   keep=("y", "Y")),
-            ]
-        return [
-            EliminationProblem((relX, gam), eliminate=("z",),
-                               keep=("x", "y", "X")),
-            EliminationProblem((relY, gam), eliminate=("z",),
-                               keep=("x", "y", "Y")),
-        ]
-    if map_name == "lv4":
-        if period != 2:
-            raise EliminationError("only the period-2 variety is catalogued")
-        g = gamma_get("lv4", period)
-        gam = g.composed_numerators()[0]
-        P1 = _lv4_chain_consistency(("x", "y", "z", "u"), "X")
-        P3 = _lv4_chain_consistency(("z", "u", "x", "y"), "Z")
-        y, z = MPoly.var("y"), MPoly.var("z")
-        R2 = MPoly.var("Y") * (1 - MPoly.var("X")) - y * (1 - z)
-        return [
-            EliminationProblem((P1, gam), eliminate=("u", "y"),
-                               keep=("x", "z", "X")),
-            EliminationProblem((P1, R2, gam), eliminate=("X", "u"),
-                               keep=("x", "y", "z", "Y")),
-            EliminationProblem((P3, gam), eliminate=("u", "y"),
-                               keep=("x", "z", "Z")),
-        ]
-    if map_name == "toda3":
-        if period != 3:
-            raise EliminationError("only the period-3 variety is catalogued")
-        (x, y, z, u, v, w), A, B, C, t1, t2 = toda3_polys()
-        comps = {"X": (y, A, B), "Y": (z, C, A), "U": (u, B, A),
-                 "V": (v, A, C)}
-        probs = []
-        for cap, (mul, num, den) in comps.items():
-            rel = MPoly.var(cap) * den - mul * num
-            probs.append(EliminationProblem(
-                (rel, t1, t2), eliminate=("z", "w"),
-                keep=("x", "y", "u", "v", cap)))
-        return probs
-    if map_name == "moebius2d":
-        from .moebius import derive_gamma
-        gamma = derive_gamma(period)
-        hsub = MPoly.var("y") * (1 + MPoly.var("b") * MPoly.var("x"))
-        gam = gamma.subs_poly({"h": hsub})
-        rel = (MPoly.var("X")
-               - (MPoly.var("x") + MPoly.var("a")) * MPoly.var("y"))
-        return [EliminationProblem((rel, gam), eliminate=("y",),
-                                   keep=("x", "X", "a", "b"))]
-    raise EliminationError(
-        f"no standard elimination recorded for ({map_name}, {period})")
+    """The elimination problems the registry records for (map_name, period).
+
+    Each solves for one image coordinate from its relation with the point
+    and the variety; it keeps every variable of those polynomials that it
+    does not eliminate.
+    """
+    setups = elimination_setups(map_name, period)
+    owner, params = transition_params(map_name)
+    m = catalog_get(owner, params=params)
+    if m.relations is not None:
+        rels, variety = m.relations(period)
+    else:
+        rels = {v.upper(): MPoly.var(v.upper()) * c.den - c.num
+                for v, c in zip(m.varnames, m.components)}
+        variety = gamma_get(owner, period, m=m).composed_numerators()
+    probs = []
+    for cap, gone in setups:
+        used = (rels[cap],) + tuple(variety)
+        keep = set().union(*(r.used_vars() for r in used)) - set(gone)
+        probs.append(EliminationProblem(used, eliminate=gone,
+                                        keep=tuple(sorted(keep))))
+    return probs
 
 
 def derive(map_name: str, period: int,
            transitions: Optional[Sequence[Transition]] = None,
            tol: float = TRANSITION_TOL) -> List[MPoly]:
     """Run the standard eliminations; one result polynomial per setup."""
-    out = []
-    for prob in standard_problems(map_name, period):
-        got = eliminate(prob, transitions=transitions, tol=tol)
-        out.extend(got)
+    out = [r for prob in standard_problems(map_name, period)
+           for r in eliminate(prob, transitions=transitions, tol=tol)]
+    owner, params = transition_params(map_name)
+    if owner != map_name:
+        # a member of a family: the family's recurrences at its parameters
+        out = [r.subs_values(params).primitive() for r in out]
     return out
 
 
 def fixtures_for(map_name: str, period: int) -> List[Fixture]:
-    entries = _FIXTURES.get(map_name, {}).get(str(period))
+    recorded = _FIXTURES.get(map_name, {})
+    entries = recorded.get(str(period))
     if not entries:
-        raise EliminationError(
-            f"no fixtures recorded for ({map_name}, {period})")
+        raise NotRecordedError(
+            f"no fixtures recorded for ({map_name}, {period}); "
+            f"recorded periods: {sorted(map(int, recorded))}")
     out = []
     for e in entries:
         F = parse_poly(e["F"], tuple(e["vars"]))
@@ -406,36 +355,39 @@ def _fixture_residual(fix: Fixture, t: Transition) -> float:
     return abs(_eval_at(fix.F, t))
 
 
-def check_fixture(fix: Fixture, tol: float = TRANSITION_TOL,
-                  transitions: Optional[Sequence[Transition]] = None) -> dict:
-    """Behavioral + (where the engine covers it) symbolic fixture verdict.
+def check_fixture(fixes: Sequence[Fixture], tol: float = TRANSITION_TOL,
+                  transitions: Optional[Sequence[Transition]] = None
+                  ) -> List[dict]:
+    """Behavioral + (where the engine covers it) symbolic verdicts of the
+    fixtures of one (map, period), in order.
 
     Behavioral: the recorded polynomial vanishes on true on-variety
-    transitions of the owning map.  Symbolic: the standard elimination
-    reproduces it up to scale.  A behavioral failure is flagged as a
-    suspected transcription or source typo, never silently repaired.
+    transitions of the owning map.  Symbolic: the standard elimination,
+    run once for all of them, reproduces it up to scale; null where the
+    registry records no elimination.  A behavioral failure is flagged as
+    a suspected transcription or source typo, never silently repaired.
     """
-    from .algebra import equal_up_to_scale
+    map_name, period = fixes[0].map_name, fixes[0].period
     if transitions is None:
-        transitions = default_transitions(fix.map_name, fix.period)
-    scale = 1 + float(fix.F.max_abs_coeff())
-    worst = max(_fixture_residual(fix, t) for t in transitions)
-    behavioral = worst <= tol * scale
-    symbolic = None
-    if "q" not in fix.F.vars:
-        try:
-            derived = derive(fix.map_name, fix.period,
-                             transitions=transitions, tol=tol)
-        except EliminationError:
-            derived = []
-        if derived:
-            symbolic = any(equal_up_to_scale(r, fix.F) for r in derived)
-    verdict = {
-        "map": fix.map_name, "period": fix.period, "index": fix.index,
-        "behavioral": behavioral, "max_residual": worst,
-        "symbolic": symbolic,
-    }
-    if not behavioral:
-        verdict["note"] = ("fixture does not vanish on true transitions; "
-                           "suspected transcription or source typo")
-    return verdict
+        transitions = default_transitions(map_name, period)
+    try:
+        derived = derive(map_name, period, transitions=transitions, tol=tol)
+    except NotRecordedError:
+        derived = []
+    verdicts = []
+    for fix in fixes:
+        scale = 1 + float(fix.F.max_abs_coeff())
+        worst = max(_fixture_residual(fix, t) for t in transitions)
+        behavioral = worst <= tol * scale
+        symbolic = (any(equal_up_to_scale(r, fix.F) for r in derived)
+                    if derived else None)
+        verdict = {
+            "map": fix.map_name, "period": fix.period, "index": fix.index,
+            "behavioral": behavioral, "max_residual": worst,
+            "symbolic": symbolic,
+        }
+        if not behavioral:
+            verdict["note"] = ("fixture does not vanish on true transitions; "
+                               "suspected transcription or source typo")
+        verdicts.append(verdict)
+    return verdicts

@@ -85,5 +85,9 @@ class EliminationError(PeriodmapsError):
         self.witnesses = witnesses
 
 
+class NotRecordedError(EliminationError):
+    """No elimination or fixture recorded for the requested (map, period) pair."""
+
+
 class DegenerateFamilyError(PeriodmapsError):
     """Symbolic parameter iteration hit an identically-zero denominator."""

@@ -166,9 +166,24 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
     (["orbit", "--map", "lyness8", "--init", "1,1,1", "--steps", "-2"],
      "--steps"),
     (["verify", "--map", "lv3", "--period", "3", "--a", "5"], "'a'"),
+    (["eliminate", "--map", "lv4", "--period", "2", "--a", "1"], "'a'"),
+    (["eliminate", "--map", "euler", "--period", "3"],
+     "recorded periods: []"),
+    (["eliminate", "--map", "qrt", "--period", "3"], "recorded periods: []"),
+    (["eliminate", "--map", "example", "--period", "4"],
+     "recorded periods: [3]"),
+    (["eliminate", "--map", "moebius2d", "--period", "9"],
+     "recorded periods: [2, 3, 4, 5, 6, 7, 8]"),
+    (["fixtures", "--map", "lv3", "--period", "4"],
+     "recorded periods: [2, 3]"),
+    (["orbit", "--map", "lyness8", "--init", "1,1", "--steps", "3"],
+     "--init"),
 ], ids=["verify-without-period", "negative-seeds", "zero-seeds",
         "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
-        "negative-steps", "foreign-parameter"])
+        "negative-steps", "foreign-parameter", "eliminate-foreign-parameter",
+        "eliminate-euler", "eliminate-qrt", "eliminate-example-period",
+        "eliminate-moebius2d-period", "fixtures-unrecorded-period",
+        "orbit-init-length"])
 def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     try:
         code = main(argv)
@@ -178,3 +193,48 @@ def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     assert code == EXIT_USAGE
     assert message in out.err
     assert out.out == ""
+
+
+def test_fixtures_derives_once_per_map_and_period(capsys, monkeypatch):
+    from periodmaps import elim
+    calls = {"derive": 0, "make_transitions": 0}
+
+    def counted(name):
+        original = getattr(elim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(elim, name, wrapper)
+
+    counted("derive")
+    counted("make_transitions")
+    code, out, _ = _run(capsys, "fixtures", "--map", "toda3", "--period", "3")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["verdicts"]) == 4
+    assert calls == {"derive": 1, "make_transitions": 1}
+
+
+def test_eliminate_without_fixtures_reports_what_it_derives(capsys,
+                                                            monkeypatch):
+    # lv3 p4 has an elimination setup but no recorded fixture; the real
+    # elimination takes minutes, so derive is stubbed
+    from periodmaps import cli
+    from periodmaps.algebra import MPoly
+    monkeypatch.setattr(cli, "derive", lambda *a, **kw: [MPoly.var("X")])
+    code, out, _ = _run(capsys, "eliminate", "--map", "lv3", "--period", "4")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdicts"] == [{"F": "X", "pass": True}]
+
+
+def test_fixtures_fail_when_a_recorded_elimination_breaks(capsys,
+                                                          monkeypatch):
+    from periodmaps import elim
+    from periodmaps.errors import EliminationError
+
+    def broken(*args, **kwargs):
+        raise EliminationError("elimination left no nontrivial factor")
+    monkeypatch.setattr(elim, "eliminate", broken)
+    code, out, err = _run(capsys, "fixtures", "--map", "lv3", "--period", "2")
+    assert code == EXIT_FAIL
+    assert "no nontrivial factor" in err

@@ -1,11 +1,15 @@
 """Elimination engine: factor filtering, derivation, fixture verdicts."""
 
+import json
+from importlib import resources
+
 import pytest
 
 from periodmaps.algebra import MPoly, equal_up_to_scale, parse_poly
 from periodmaps.elim import (
     EliminationProblem, check_fixture, default_transitions, derive,
     eliminate, fixtures_for, make_transitions)
+from periodmaps.catalog import MAPS
 from periodmaps.errors import EliminationError
 
 
@@ -74,14 +78,13 @@ def test_moebius_symbolic_derivation():
 
 def test_check_fixture_verdicts():
     fix = fixtures_for("lv3", 2)[0]
-    v = check_fixture(fix)
+    v, = check_fixture([fix])
     assert v["behavioral"] and v["symbolic"]
     assert v["max_residual"] <= 1e-8 * (1 + float(fix.F.max_abs_coeff()))
 
 
 def test_check_fixture_square_root_entries_are_behavioral_only():
-    for fix in fixtures_for("euler", 3):
-        v = check_fixture(fix)
+    for v in check_fixture(fixtures_for("euler", 3)):
         assert v["behavioral"]
         assert v["symbolic"] is None
 
@@ -90,7 +93,7 @@ def test_check_fixture_flags_a_wrong_polynomial():
     from periodmaps.elim import Fixture
     bogus = Fixture("lv3", 2, 99,
                     parse_poly("(x-1)*X + x + 1", ("x", "X")))
-    v = check_fixture(bogus)
+    v, = check_fixture([bogus])
     assert not v["behavioral"]
     assert "note" in v
 
@@ -101,6 +104,27 @@ def test_transitions_carry_images_and_parameters():
     for t in ts:
         assert {"x", "y", "X", "Y", "a", "b"} <= set(t)
         assert t["a"] == 2 + 0j
+
+
+def test_check_fixture_keeps_the_fixture_order():
+    fixes = fixtures_for("lv4", 2)
+    verdicts = check_fixture(fixes[::-1])
+    assert [v["index"] for v in verdicts] == [3, 2, 1]
+    assert all(v["behavioral"] and v["symbolic"] for v in verdicts)
+
+
+def test_registry_eliminations_cover_the_recorded_fixtures():
+    # every recorded recurrence but euler's (whose F carries a square
+    # root q) is re-derived; the registry may record more (lv3 p4, p5)
+    with resources.files("periodmaps.data").joinpath(
+            "fixtures.json").open("r", encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    fixture_pairs = {(name, int(period)) for name in recorded
+                     for period in recorded[name] if name != "euler"}
+    registry_pairs = {(target, period) for spec in MAPS.values()
+                      for target, periods in spec.eliminations.items()
+                      for period in periods}
+    assert fixture_pairs <= registry_pairs
 
 
 def test_unknown_standard_problem():
