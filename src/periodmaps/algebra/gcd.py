@@ -20,13 +20,14 @@ def _poly_content(p: MPoly, var: str) -> MPoly:
 
 def _pseudo_rem(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Pseudo-remainder of p by q in var (lc(q)^(dp-dq+1) * p mod q)."""
+    p, q = MPoly.align(p, q)
     dq = q.degree(var)
-    lc_q = q.coeff_of(var, dq)
-    x = MPoly.var(var)
+    lc_q = q.coeff_of(var, dq).with_vars(q.vars)
+    x = MPoly.var(var, q.vars)
     rem = p
     while not rem.is_zero() and rem.degree(var) >= dq:
         dr = rem.degree(var)
-        lc_r = rem.coeff_of(var, dr)
+        lc_r = rem.coeff_of(var, dr).with_vars(q.vars)
         rem = rem * lc_q - q * lc_r * x ** (dr - dq)
         # the var^dr coefficient cancels exactly; guard against drift
         assert rem.degree(var) < dr or rem.is_zero()

@@ -8,10 +8,10 @@ arithmetic only appears at evaluation boundaries.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from ..errors import ArityError, InexactDivisionError, NonFiniteError, ParseError
@@ -69,8 +69,23 @@ class MPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "MPoly":
+        """Trusted constructor for results of the ring operations.
+
+        The caller guarantees what ``__init__`` would check: ``variables``
+        is a tuple, every key of ``terms`` is a tuple of ``len(variables)``
+        non-negative ints, every value is a nonzero Fraction, and ``terms``
+        is a fresh dict the caller does not keep.
+        """
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        p._hash = None
+        return p
+
+    @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "MPoly":
-        return cls(variables, {})
+        return cls._make(tuple(variables), {})
 
     @classmethod
     def const(cls, c: Scalar, variables: Sequence[str] = ()) -> "MPoly":
@@ -98,10 +113,13 @@ class MPoly:
     def with_vars(self, variables: Sequence[str]) -> "MPoly":
         """Re-embed into a new variable tuple (must cover all used vars)."""
         vs = tuple(variables)
+        if vs == self.vars:
+            return self
         pos = {v: i for i, v in enumerate(vs)}
-        missing = [v for v in self.used_vars() if v not in pos]
-        if missing:
-            raise ValueError(f"target variables miss {missing}")
+        if any(v not in pos for v in self.vars):
+            missing = [v for v in self.used_vars() if v not in pos]
+            if missing:
+                raise ValueError(f"target variables miss {missing}")
         idx = [pos.get(v) for v in self.vars]
         terms = {}
         for exps, c in self.terms.items():
@@ -110,7 +128,7 @@ class MPoly:
                 if e:
                     ne[idx[i]] = e
             terms[tuple(ne)] = c
-        return MPoly(vs, terms)
+        return MPoly._make(vs, terms)
 
     def pruned(self) -> "MPoly":
         """Drop variables that do not occur."""
@@ -131,28 +149,39 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other):
+    def _combine(self, other, negate: bool):
+        """self + other, or self - other when negate; cancelled terms popped."""
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other, self.vars)
         if not isinstance(other, MPoly):
             return NotImplemented
         p, q = MPoly.align(self, other)
         terms = dict(p.terms)
+        get = terms.get
         for exps, c in q.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return MPoly(p.vars, terms)
+            if negate:
+                c = -c
+            s = get(exps)
+            if s is None:
+                terms[exps] = c
+            else:
+                s += c
+                if s:
+                    terms[exps] = s
+                else:
+                    del terms[exps]
+        return MPoly._make(p.vars, terms)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other, self.vars)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -162,30 +191,38 @@ class MPoly:
             c = _as_fraction(other)
             if c == 0:
                 return MPoly.zero(self.vars)
-            return MPoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return MPoly._make(self.vars,
+                               {e: cc * c for e, cc in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
         p, q = MPoly.align(self, other)
         terms = {}
+        get = terms.get
+        q_terms = q.terms.items()
         for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MPoly(p.vars, terms)
+            for e2, c2 in q_terms:
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                s = get(e)
+                terms[e] = c if s is None else s + c
+        zeros = [e for e, c in terms.items() if not c]
+        for e in zeros:
+            del terms[e]
+        return MPoly._make(p.vars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = MPoly.const(1, self.vars)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return MPoly.const(1, self.vars) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -240,7 +277,7 @@ class MPoly:
         for exps, c in self.terms.items():
             if exps[i] == power:
                 terms[exps[:i] + exps[i + 1:]] = c
-        return MPoly(rest, terms)
+        return MPoly._make(rest, terms)
 
     def as_univariate(self, var: str):
         """Dense coefficient list [c0, c1, ...] of self viewed in var."""
@@ -254,9 +291,8 @@ class MPoly:
         terms = {}
         for exps, c in self.terms.items():
             if exps[i]:
-                ne = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                terms[ne] = terms.get(ne, Fraction(0)) + c * exps[i]
-        return MPoly(self.vars, terms)
+                terms[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c * exps[i]
+        return MPoly._make(self.vars, terms)
 
     # -- normalization ---------------------------------------------------
 
@@ -500,22 +536,40 @@ def parse_poly(text: str, variables: Sequence[str] = None) -> MPoly:
 
 
 def exact_divide(p: MPoly, f: MPoly) -> MPoly:
-    """Exact quotient q with q*f == p; raises with the remainder otherwise."""
+    """Exact quotient q with q*f == p; raises with the remainder otherwise.
+
+    The remainder and the quotient are one dict each: every step moves the
+    remainder's graded-lex leading term into the quotient and subtracts
+    that term times f from the remainder in place.
+    """
     if f.is_zero():
         raise InexactDivisionError("division by the zero polynomial", remainder=p)
     p, f = MPoly.align(p, f)
     lt_f, lc_f = f.leading()
-    quotient = MPoly.zero(p.vars)
-    rem = p
-    while rem.terms:
-        lt_r, lc_r = rem.leading()
-        diff = tuple(a - b for a, b in zip(lt_r, lt_f))
+    f_terms = f.terms.items()
+    rem = dict(p.terms)
+    get = rem.get
+    quotient = {}
+    while rem:
+        lt_r = max(rem, key=grlex_key)
+        diff = tuple(map(sub, lt_r, lt_f))
         if any(d < 0 for d in diff):
-            raise InexactDivisionError("non-exact polynomial division", remainder=rem)
-        qterm = MPoly(p.vars, {diff: lc_r / lc_f})
-        quotient = quotient + qterm
-        rem = rem - qterm * f
-    return quotient
+            raise InexactDivisionError("non-exact polynomial division",
+                                       remainder=MPoly._make(p.vars, rem))
+        qc = rem[lt_r] / lc_f
+        quotient[diff] = qc
+        for e, c in f_terms:
+            m = tuple(map(add, diff, e))
+            s = get(m)
+            if s is None:
+                rem[m] = -qc * c
+            else:
+                s -= qc * c
+                if s:
+                    rem[m] = s
+                else:
+                    del rem[m]
+    return MPoly._make(p.vars, quotient)
 
 
 def divides(f: MPoly, p: MPoly) -> bool:
@@ -529,9 +583,12 @@ def divides(f: MPoly, p: MPoly) -> bool:
 def strip_var_monomials(p: MPoly) -> MPoly:
     """p with every power of a single variable that divides it divided out."""
     for v in p.used_vars():
-        mv = MPoly.var(v).with_vars(p.vars)
-        while p.degree(v) and divides(mv, p):
-            p = exact_divide(p, mv)
+        mv = MPoly.var(v, p.vars)
+        while p.degree(v):
+            try:
+                p = exact_divide(p, mv)
+            except InexactDivisionError:
+                break
     return p
 
 

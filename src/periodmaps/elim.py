@@ -16,14 +16,15 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (MPoly, divides, equal_up_to_scale, exact_divide,
-                      normalize, parse_poly, poly_gcd, resultant,
-                      squarefree_part, strip_var_monomials)
+from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
+                      parse_poly, poly_gcd, resultant, squarefree_part,
+                      strip_var_monomials)
 from .catalog import (apply_map, catalog_get, elimination_setups,
                       transition_params)
 from .errors import (BranchSelectionError, EliminationError,
-                     NotRecordedError, NothingToEliminateError, PoleError,
-                     SamplingError, SingularSystemError)
+                     InexactDivisionError, NotRecordedError,
+                     NothingToEliminateError, PoleError, SamplingError,
+                     SingularSystemError)
 from .varieties import gamma_get, sample_on_variety
 
 TRANSITION_TOL = 1e-8
@@ -133,8 +134,7 @@ def _split_quadratic(p: MPoly, main: str):
     Y = MPoly.var(main)
     f1 = (2 * A * Y + B - s).primitive()
     f2 = (2 * A * Y + B + s).primitive()
-    prod, target = MPoly.align(f1 * f2, p)
-    if prod * target.leading_coeff() != target * prod.leading_coeff():
+    if not equal_up_to_scale(f1 * f2, p):
         return None
     return f1, f2
 
@@ -153,9 +153,11 @@ def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
                 continue
             if _vanishes(cand, transitions, tol):
                 continue        # vanishing factors are genuine, keep them
-            while (divides(cand, p)
-                   and p.total_degree() > cand.total_degree()):
-                q = exact_divide(p, cand)
+            while p.total_degree() > cand.total_degree():
+                try:
+                    q = exact_divide(p, cand)
+                except InexactDivisionError:
+                    break
                 if not _vanishes(q, transitions, tol):
                     break
                 p = q

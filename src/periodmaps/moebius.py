@@ -14,9 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .algebra import (MPoly, RatFunc, divides, exact_divide, normalize,
-                      poly_gcd, strip_var_monomials)
-from .errors import DegenerateFamilyError, DegenerateParameterError
+from .algebra import (MPoly, RatFunc, exact_divide, normalize, poly_gcd,
+                      strip_var_monomials)
+from .errors import (DegenerateFamilyError, DegenerateParameterError,
+                     InexactDivisionError)
 from .recurrence import RecurrenceRelation
 
 
@@ -100,14 +101,20 @@ def derive_gamma(n: int) -> MPoly:
         raise ValueError("supported periods are 2..8")
     g = _raw_common_factor(n)
     fixed = _raw_common_factor(1)
-    while divides(fixed, g) and g.total_degree() > fixed.total_degree():
-        g = exact_divide(g, fixed)
+    while g.total_degree() > fixed.total_degree():
+        try:
+            g = exact_divide(g, fixed)
+        except InexactDivisionError:
+            break
     for d in range(2, n):
         if n % d:
             continue
         gd = derive_gamma(d)
-        while divides(gd, g) and g.total_degree() > 0:
-            g = exact_divide(g, gd)
+        while g.total_degree() > 0:
+            try:
+                g = exact_divide(g, gd)
+            except InexactDivisionError:
+                break
     g = strip_var_monomials(g)
     if g.total_degree() == 0:
         raise DegenerateFamilyError(

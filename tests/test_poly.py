@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import Phase, given, settings, strategies as st
 
 from periodmaps.algebra import MPoly, divides, exact_divide, parse_poly
 from periodmaps.errors import InexactDivisionError, ParseError
@@ -118,7 +119,117 @@ def test_inexact_division_reports_remainder():
     x = MPoly.var("x")
     with pytest.raises(InexactDivisionError) as err:
         exact_divide(x * x + 1, x)
-    assert err.value.remainder is not None
+    rem = err.value.remainder
+    assert rem == MPoly.const(1, ("x",))
+    _assert_canonical(rem)
+
+
+def _assert_canonical(r: MPoly):
+    """The kernel invariant: validated keys, nonzero Fraction coefficients."""
+    assert isinstance(r.vars, tuple)
+    for exps, c in r.terms.items():
+        assert isinstance(exps, tuple) and len(exps) == len(r.vars)
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert MPoly(r.vars, r.terms).terms == r.terms
+
+
+@HEAVY
+@given(polys(), polys(), coeffs, st.integers(0, 3), st.sampled_from(VARS))
+def test_ring_operations_keep_the_kernel_invariant(p, q, c, n, v):
+    shuffled = q.with_vars(("w", "z", "x", "y"))
+    results = [
+        p + q, p - q, p + shuffled, p - shuffled, p - p, p + (-p),
+        p + (q - p), -p, p * c, c * p, p * 3, p * 0, p * q, p * shuffled,
+        p ** n, p.coeff_of(v, 1), (p * q).coeff_of(v, 0), p.derivative(v),
+        p.with_vars(("w",) + VARS), (p * shuffled).pruned(),
+    ]
+    if not q.is_zero():
+        results.append(exact_divide(p * q, q))
+        try:
+            results.append(exact_divide(p + 1, q))
+        except InexactDivisionError as err:
+            results.append(err.remainder)
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_public_constructor_validates_its_input():
+    with pytest.raises(ValueError):
+        MPoly(("x", "y"), {(1,): 1})
+    with pytest.raises(ValueError):
+        MPoly(("x",), {(-1,): 1})
+    with pytest.raises(TypeError):
+        MPoly(("x",), {(1,): 0.5})
+    assert MPoly(("x",), {(1,): 2, (2,): 0}).terms == {(1,): Fraction(2)}
+
+
+# exact_divide against sympy's div, at the sizes elimination reaches
+SYM_VARS = ("x", "y", "z", "w")
+SYM_GENS = sympy.symbols(SYM_VARS)
+
+
+@st.composite
+def wide_polys(draw, nvars):
+    """A polynomial in the first nvars of SYM_VARS with 20 to 40 terms."""
+    n = draw(st.integers(20, 40))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars),
+                         min_size=n, max_size=n, unique=True))
+    pad = (0,) * (len(SYM_VARS) - nvars)
+    return MPoly(SYM_VARS, {k + pad: draw(coeffs) for k in keys})
+
+
+def _to_sympy(p: MPoly):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in p.terms.items()}, *SYM_GENS)
+
+
+def _from_sympy(P) -> MPoly:
+    return MPoly(SYM_VARS, {e: Fraction(int(c.p), int(c.q))
+                            for e, c in P.as_dict().items()})
+
+
+# no shrinking: shrinking inputs this large through sympy takes minutes
+SYMPY_ORACLE = settings(max_examples=12, deadline=None,
+                        phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+@SYMPY_ORACLE
+@given(st.integers(3, 4).flatmap(lambda k: st.tuples(wide_polys(k),
+                                                      wide_polys(k))))
+def test_exact_divide_matches_sympy_div(pair):
+    g, f = pair
+    p = g * f
+    q = exact_divide(p, f)
+    theirs, rem = sympy.div(_to_sympy(p), _to_sympy(f))
+    assert rem.is_zero
+    assert q == _from_sympy(theirs) == g
+    _assert_canonical(q)
+
+
+@SYMPY_ORACLE
+@given(st.integers(3, 4).flatmap(lambda k: st.tuples(wide_polys(k),
+                                                      wide_polys(k))),
+       polys(max_terms=8))
+def test_exact_divide_rejects_a_non_multiple(pair, r):
+    g, f = pair
+    # a nonzero r of lower total degree than f keeps p off the multiples of f
+    low = {e + (0,): c for e, c in r.terms.items()
+           if sum(e) < f.total_degree()}
+    r = MPoly(SYM_VARS, low) if low else MPoly.const(1, SYM_VARS)
+    p = g * f + r
+    with pytest.raises(InexactDivisionError) as err:
+        exact_divide(p, f)
+    rem = err.value.remainder
+    assert not rem.is_zero()
+    _assert_canonical(rem)
+    lt_r, lt_f = rem.leading()[0], f.leading()[0]
+    assert any(a < b for a, b in zip(lt_r, lt_f))
+    # what was divided off before the failure is a multiple of f
+    _, theirs = sympy.div(_to_sympy(p - rem), _to_sympy(f))
+    assert theirs.is_zero
+    assert not sympy.div(_to_sympy(p), _to_sympy(f))[1].is_zero
 
 
 def test_derivative_product_rule():
