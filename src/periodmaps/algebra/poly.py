@@ -90,7 +90,8 @@ class MPoly:
     @classmethod
     def const(cls, c: Scalar, variables: Sequence[str] = ()) -> "MPoly":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): _as_fraction(c)})
+        c = _as_fraction(c)
+        return cls._make(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
     def var(cls, name: str, variables: Sequence[str] = None) -> "MPoly":
@@ -98,7 +99,7 @@ class MPoly:
         if name not in vs:
             raise ValueError(f"variable {name!r} not among {vs}")
         exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: Fraction(1)})
+        return cls._make(vs, {exps: Fraction(1)})
 
     # -- variable bookkeeping ------------------------------------------
 

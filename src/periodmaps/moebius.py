@@ -1,10 +1,14 @@
 """Moebius parameter dynamics and the derived recurrence family.
 
-One map step sends x to h(x + a)/(1 + bx); composing n steps keeps the
-Moebius shape and only moves the parameter triple.  The period-n
-conditions on the parameters are extracted symbolically as the common
-polynomial factor of the three return conditions, with lower-period and
-fixed-point factors divided out.
+One map step sends x to h(x + a)/(1 + bx), the projective action of the
+matrix M = [[h, h*a], [b, 1]].  Composing steps keeps the Moebius shape
+and only moves the parameter triple: ``param_step`` is the product
+P <- M*P on P = [[p, q], [r, s]], read back as a_n = q/p, b_n = r/s and
+h_n = p/s.  A point (a, b, h) has period n when M^n is a multiple of the
+identity, that is when M^(n+1) returns to the one-step triple; the three
+return conditions have the numerators q - a*p, r - b*s and p - h*s of
+M^(n+1) in Z[a, b, h].  Their common factor, with the fixed-point and
+lower-period factors divided out, generates the period-n variety.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .algebra import (MPoly, RatFunc, exact_divide, normalize, poly_gcd,
                       strip_var_monomials)
 from .errors import (DegenerateFamilyError, DegenerateParameterError,
                      InexactDivisionError)
 from .recurrence import RecurrenceRelation
+
+_ABH = ("a", "b", "h")
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,26 @@ def param_step(base: MoebiusParams, s: MoebiusState) -> MoebiusState:
         h_n=h * den1 / den2)
 
 
+def step_matrix_power(k: int):
+    """M^k for the one-step matrix M = [[h, h*a], [b, 1]], over Z[a, b, h]."""
+    a, b, h = (MPoly.var(v, _ABH) for v in _ABH)
+    m00, m01, m10, m11 = h, h * a, b, MPoly.const(1, _ABH)
+    p, q, r, s = m00, m01, m10, m11
+    for _ in range(k - 1):
+        p, q, r, s = (m00 * p + m01 * r, m00 * q + m01 * s,
+                      m10 * p + m11 * r, m10 * q + m11 * s)
+    return (p, q), (r, s)
+
+
 def _condition_numerators(n: int):
-    """Numerators of the three period-n return conditions, symbolically."""
-    base = MoebiusParams.symbolic()
-    s = initial_state(base)
-    for _ in range(n):
-        s = param_step(base, s)
-    conds = []
-    for got, want in ((s.a_n, base.a), (s.b_n, base.b), (s.h_n, base.h)):
-        conds.append((got - want).num)
-    return conds
+    """Numerators of the three period-n return conditions, symbolically.
+
+    n parameter steps from the one-step triple give P = M^(n+1); the
+    conditions a_n = a, b_n = b, h_n = h are q = a*p, r = b*s, p = h*s.
+    """
+    (p, q), (r, s) = step_matrix_power(n + 1)
+    a, b, h = (MPoly.var(v, _ABH) for v in _ABH)
+    return [q - a * p, r - b * s, p - h * s]
 
 
 @lru_cache(maxsize=None)
@@ -94,8 +109,11 @@ def _raw_common_factor(n: int) -> MPoly:
 def derive_gamma(n: int) -> MPoly:
     """Generator of the period-n parameter variety, in (a, b, h).
 
-    Normalized to integer coefficients with content 1 and positive
-    constant term.
+    The gcd of the return-condition numerators of the matrix power
+    M^(n+1), M = [[h, h*a], [b, 1]], with monomial factors, the
+    fixed-point factor and every lower-period generator gamma_d (d | n)
+    divided out.  Normalized to integer coefficients with content 1 and
+    positive constant term.
     """
     if not 2 <= n <= 8:
         raise ValueError("supported periods are 2..8")

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import periodmaps
 from periodmaps.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -137,6 +142,23 @@ def test_list_report_is_pinned(capsys):
     code, out, _ = _run(capsys, "list")
     assert code == EXIT_OK
     assert out == json.dumps(LIST_REPORT, indent=2, sort_keys=True) + "\n"
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    # python -m periodmaps from a checkout: same report, exit code passed on
+    src = str(Path(periodmaps.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "periodmaps", *argv],
+                              capture_output=True, text=True, env=env)
+
+    listed = run("list")
+    assert listed.returncode == EXIT_OK
+    assert listed.stdout == _run(capsys, "list")[1]
+    assert run("verify", "--map", "lv3").returncode == EXIT_USAGE
 
 
 @pytest.mark.parametrize("name, period, flags, params", [

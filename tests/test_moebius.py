@@ -1,8 +1,10 @@
 """Parameter dynamics of the one-dimensional Moebius family."""
 
 import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from periodmaps.algebra import MPoly, equal_up_to_scale, parse_poly, roots
@@ -10,7 +12,7 @@ from periodmaps.elim import fixtures_for
 from periodmaps.errors import DegenerateParameterError
 from periodmaps.moebius import (
     MoebiusParams, derive_gamma, initial_state, mu_pair, param_step,
-    recurrence_F)
+    recurrence_F, step_matrix_power)
 
 GAMMA_TEXTS = {
     2: "1 + h",
@@ -79,6 +81,48 @@ def test_param_step_composes_the_map():
     bn = s.b_n.eval_exact([])
     hn = s.h_n.eval_exact([])
     assert y == hn * (x + an) / (1 + bn * x)
+
+
+def test_matrix_powers_agree_with_param_step():
+    # P = M^k read back as (q/p, r/s, p/s) is the state after k - 1 steps
+    a, b, h = Fraction(2), Fraction(1, 3), Fraction(5, 7)
+    point = {"a": a, "b": b, "h": h}
+    base = MoebiusParams.numeric(a, b, h)
+    state = initial_state(base)
+    for k in range(1, 6):
+        (p, q), (r, s) = (
+            [e.subs_values(point).constant_term() for e in row]
+            for row in step_matrix_power(k))
+        assert (q / p, r / s, p / s) == tuple(
+            v.eval_exact([]) for v in (state.a_n, state.b_n, state.h_n)), k
+        state = param_step(base, state)
+
+
+def _distance_from_scalar(m):
+    """How far a 2x2 matrix is from a multiple of I, relative to its size."""
+    off = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1]))
+    return off / np.abs(m).max()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_derive_gamma_against_matrix_order_oracle(n):
+    # gamma_n has degree phi(n) in h, and at (a, b) = (1, 2) its roots h are
+    # exactly the one-step matrices [[h, h*a], [b, 1]] of projective order n
+    gamma = derive_gamma(n)
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    assert gamma.degree("h") == phi
+    a, b = 1, 2
+    at = gamma.subs_values({"a": Fraction(a), "b": Fraction(b)})
+    dense = [float(c.constant_term()) for c in at.as_univariate("h")]
+    hs = np.roots(dense[::-1])
+    assert len(hs) == phi
+    for h in hs:
+        m = np.array([[h, h * a], [b, 1]], dtype=complex)
+        assert _distance_from_scalar(np.linalg.matrix_power(m, n)) < 1e-9
+        for d in range(1, n):
+            if n % d == 0:
+                assert _distance_from_scalar(
+                    np.linalg.matrix_power(m, d)) > 1e-6, (h, d)
 
 
 def test_mu_pair_sum_and_product():

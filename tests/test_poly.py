@@ -162,6 +162,16 @@ def test_public_constructor_validates_its_input():
     with pytest.raises(TypeError):
         MPoly(("x",), {(1,): 0.5})
     assert MPoly(("x",), {(1,): 2, (2,): 0}).terms == {(1,): Fraction(2)}
+    # the one-term constructors keep the same contract
+    zero = MPoly.const(0, ("x", "y"))
+    assert zero.is_zero() and zero.vars == ("x", "y")
+    with pytest.raises(TypeError):
+        MPoly.const(0.5, ("x",))
+    with pytest.raises(ValueError):
+        MPoly.var("z", ("x", "y"))
+    for r in (zero, MPoly.const(3, ("x", "y")), MPoly.const(Fraction(1, 2)),
+              MPoly.var("y", ("x", "y")), MPoly.var("x")):
+        _assert_canonical(r)
 
 
 # exact_divide against sympy's div, at the sizes elimination reaches
