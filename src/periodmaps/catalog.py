@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +37,10 @@ def as_point(coords: Sequence[complex]) -> Point:
     return pt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrableMap:
+    """A built map; catalog_get builds one per (name, parameters), so maps
+    compare and hash by identity."""
     name: str
     varnames: Tuple[str, ...]
     params: dict
@@ -46,10 +49,6 @@ class IntegrableMap:
     invariant_names: Tuple[str, ...] = ()
     numeric_apply: Optional[Callable] = None
     exact_apply: Optional[Callable] = None
-    # period -> (image coordinate -> its relation with the point, variety
-    # numerators) that elimination starts from, for a map whose relations
-    # are not its components' X*den - num and its composed variety
-    relations: Optional[Callable] = None
 
     @property
     def d(self) -> int:
@@ -238,8 +237,7 @@ def _lv4_relations(period):
 def _build_lv4(name, params):
     names, invs, inames = _lv_invariant_polys(4)
     return IntegrableMap(name, names, params, None, invs, inames,
-                         numeric_apply=_make_lv4_apply(invs),
-                         relations=_lv4_relations)
+                         numeric_apply=_make_lv4_apply(invs))
 
 
 def _build_toda3(name, params):
@@ -368,8 +366,7 @@ def _build_moebius2d(name, params):
     comps = (_rf((x + a) * y, vars=names),
              _rf(y * (1 + b * x), 1 + b * y * (x + a), vars=names))
     H = _rf(y * (1 + b * x), vars=names)
-    return IntegrableMap(name, names, params, comps, (H,), ("h",),
-                         relations=_moebius2d_relations)
+    return IntegrableMap(name, names, params, comps, (H,), ("h",))
 
 
 def _moebius2d_relations(period):
@@ -419,6 +416,10 @@ class MapSpec:
     # variables eliminated) of each problem `eliminate` runs there
     eliminations: Mapping[str, Mapping[int, Tuple[
         Tuple[str, Tuple[str, ...]], ...]]] = field(default_factory=dict)
+    # period -> (image coordinate -> its relation with the point, variety
+    # numerators) that elimination starts from, for a map whose relations
+    # are not its components' X*den - num and its composed variety
+    relations: Optional[Callable[[int], Tuple[dict, Tuple[MPoly, ...]]]] = None
 
 
 MAPS = {
@@ -430,7 +431,8 @@ MAPS = {
         2: (("X", ("y", "z")), ("Y", ("z", "x"))),
         **{n: (("X", ("z",)), ("Y", ("z",))) for n in (3, 4, 5)}}}),
     "lv4": MapSpec(_build_lv4, eliminations={"lv4": {
-        2: (("X", ("u", "y")), ("Y", ("u",)), ("Z", ("u", "y")))}}),
+        2: (("X", ("u", "y")), ("Y", ("u",)), ("Z", ("u", "y")))}},
+        relations=_lv4_relations),
     "toda3": MapSpec(_build_toda3, eliminations={"toda3": {
         3: tuple((cap, ("z", "w")) for cap in "XYUV")}}),
     "euler": MapSpec(
@@ -446,7 +448,8 @@ MAPS = {
         transitions={"moebius2d": {"a": Fraction(2), "b": Fraction(1, 3)},
                      "example": {"a": Fraction(0), "b": Fraction(1)}},
         eliminations={"moebius2d": {n: (("X", ("y",)),) for n in range(2, 9)},
-                      "example": {3: (("X", ("y",)),)}}),
+                      "example": {3: (("X", ("y",)),)}},
+        relations=_moebius2d_relations),
     "qrt": MapSpec(_build_qrt, accepts=("qp", "qpp"),
                    six_vectors=("qp", "qpp"), required=("qp", "qpp"),
                    advertised=("qp", "qpp")),
@@ -454,11 +457,13 @@ MAPS = {
 
 MAP_NAMES = tuple(MAPS)
 
-_verified = set()
-
 
 def catalog_get(name: str, params: dict = None, **kw) -> IntegrableMap:
-    """Construct a catalog map with its invariants attached and checked."""
+    """Construct a catalog map with its invariants attached and checked.
+
+    The map is built and checked once per (name, normalised parameters);
+    a rejected build raises again on every call.
+    """
     spec = MAPS.get(name)
     if spec is None:
         raise UnknownMapError(f"unknown map {name!r}; known: {MAP_NAMES}")
@@ -468,9 +473,14 @@ def catalog_get(name: str, params: dict = None, **kw) -> IntegrableMap:
     for req in spec.required:
         if req not in bound:
             raise MissingParameterError(f"{name} requires parameter {req!r}")
-    norm = {k: _coerce_six(v) if k in spec.six_vectors else Fraction(v)
-            for k, v in bound.items()}
-    m = spec.build(name, norm)
+    norm = sorted((k, _coerce_six(v) if k in spec.six_vectors
+                   else Fraction(v)) for k, v in bound.items())
+    return _built(name, tuple(norm))
+
+
+@lru_cache(maxsize=None)
+def _built(name: str, params: tuple) -> IntegrableMap:
+    m = MAPS[name].build(name, dict(params))
     _verify_invariants(m)
     return m
 
@@ -510,17 +520,11 @@ def elimination_setups(target: str, period: int):
     return recorded[period]
 
 
-def _param_signature(m: IntegrableMap):
-    return (m.name, tuple(sorted((k, str(v)) for k, v in m.params.items())))
-
-
 def _verify_invariants(m: IntegrableMap, npoints: int = 20):
     """Build-time conservation check of every attached invariant."""
     if not m.invariants:
         return
-    sig = _param_signature(m)
-    if sig in _verified:
-        return
+    sig = (m.name, tuple(sorted((k, str(v)) for k, v in m.params.items())))
     rng = random.Random(f"catalog:{sig}")
     checked = 0
     attempts = 0
@@ -554,7 +558,6 @@ def _verify_invariants(m: IntegrableMap, npoints: int = 20):
     if checked < npoints:
         raise AssertionError(
             f"could not find {npoints} regular points to verify {m.name}")
-    _verified.add(sig)
 
 
 # ---------------------------------------------------------------- operations

@@ -293,9 +293,8 @@ def _add_params(sp):
         sp.add_argument("--" + key, type=_fraction_list if six else _fraction)
 
 
-def _add_output(sp):
-    sp.add_argument("--format", choices=("json", "csv", "text"),
-                    default="json")
+def _add_output(sp, formats=("json", "text")):
+    sp.add_argument("--format", choices=formats, default="json")
     sp.add_argument("--out")
 
 
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init", type=_fraction_list, required=True)
     sp.add_argument("--steps", type=int, required=True)
     _add_params(sp)
-    _add_output(sp)
+    _add_output(sp, formats=("json", "csv", "text"))
     sp.set_defaults(fn=cmd_orbit)
 
     sp = sub.add_parser("fixtures", help="verify recorded recurrences")

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
                       parse_poly, poly_gcd, resultant, squarefree_part,
                       strip_var_monomials)
-from .catalog import (apply_map, catalog_get, elimination_setups,
+from .catalog import (MAPS, apply_map, catalog_get, elimination_setups,
                       transition_params)
 from .errors import (BranchSelectionError, EliminationError,
                      InexactDivisionError, NotRecordedError,
@@ -175,40 +175,25 @@ def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
 
 def eliminate(prob: EliminationProblem,
               transitions: Optional[Sequence[Transition]] = None,
-              tol: float = TRANSITION_TOL,
-              extra_spurious: Sequence[MPoly] = ()) -> List[MPoly]:
+              tol: float = TRANSITION_TOL) -> List[MPoly]:
     """Polynomial consequences of the relations in the keep variables.
 
-    With transitions supplied (true (x, X) samples on the variety, at
-    least eight), extraneous resultant factors are divided out and every
-    returned factor is required to vanish on all of them.
+    The variables are eliminated in the order the problem lists them, the
+    order `MapSpec.eliminations` records.  With transitions supplied (true
+    (x, X) samples on the variety, at least eight), extraneous resultant
+    factors are divided out and every returned factor is required to
+    vanish on all of them.
     """
     if transitions is not None and len(transitions) < MIN_TRANSITIONS:
         raise EliminationError(
             f"need at least {MIN_TRANSITIONS} transition samples for filtering")
-    orders = [tuple(prob.eliminate)]
-    if len(prob.eliminate) == 2:
-        orders.append(tuple(reversed(prob.eliminate)))
-    last_exc = None
-    for order in orders:
-        polys = [p.with_vars(tuple(sorted(set(p.used_vars())
-                 | set(prob.eliminate) | set(prob.keep))))
-                 for p in prob.relations]
-        try:
-            for v in order:
-                polys = _eliminate_once(polys, v)
-            break
-        except (EliminationError, NothingToEliminateError) as exc:
-            last_exc = exc
-            polys = None
-    if polys is None:
-        raise last_exc
-    spurious = list(extra_spurious)
-    for rel in prob.relations:
-        for v in prob.eliminate:
-            if rel.degree(v):
-                lead = rel.as_univariate(v)[-1]
-                spurious.append(lead)
+    polys = [p.with_vars(tuple(sorted(set(p.used_vars())
+             | set(prob.eliminate) | set(prob.keep))))
+             for p in prob.relations]
+    for v in prob.eliminate:
+        polys = _eliminate_once(polys, v)
+    spurious = [rel.as_univariate(v)[-1] for rel in prob.relations
+                for v in prob.eliminate if rel.degree(v)]
     results = []
     for p in polys:
         got = _filter_factors(p, spurious, transitions, tol)
@@ -291,10 +276,11 @@ def standard_problems(map_name: str, period: int) -> List[EliminationProblem]:
     """
     setups = elimination_setups(map_name, period)
     owner, params = transition_params(map_name)
-    m = catalog_get(owner, params=params)
-    if m.relations is not None:
-        rels, variety = m.relations(period)
+    relations = MAPS[owner].relations
+    if relations is not None:
+        rels, variety = relations(period)
     else:
+        m = catalog_get(owner, params=params)
         rels = {v.upper(): MPoly.var(v.upper()) * c.den - c.num
                 for v, c in zip(m.varnames, m.components)}
         variety = gamma_get(owner, period, m=m).composed_numerators()

@@ -33,10 +33,6 @@ class MoebiusParams:
     h: RatFunc
 
     @classmethod
-    def symbolic(cls) -> "MoebiusParams":
-        return cls(RatFunc.var("a"), RatFunc.var("b"), RatFunc.var("h"))
-
-    @classmethod
     def numeric(cls, a, b, h) -> "MoebiusParams":
         a, b, h = Fraction(a), Fraction(b), Fraction(h)
         if a * b == 1:

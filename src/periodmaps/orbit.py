@@ -7,7 +7,6 @@ of returns from generic points off every catalogued variety.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -31,19 +30,6 @@ class OrbitReport:
 
     def passed(self, tol: float) -> bool:
         return self.return_error <= tol and not self.fixed_point
-
-    def to_json(self) -> dict:
-        return {
-            "period": self.period,
-            "return_error": self.return_error,
-            "drift": self.drift,
-            "primitive": self.primitive,
-            "fixed_point": self.fixed_point,
-            "points": [[[c.real, c.imag] for c in p] for p in self.points],
-        }
-
-    def __str__(self):
-        return json.dumps(self.to_json())
 
 
 def _rel_dist(p: Sequence[complex], q: Sequence[complex]) -> float:

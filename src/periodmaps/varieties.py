@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -36,8 +37,9 @@ def _load_catalog() -> dict:
 _CATALOG = _load_catalog()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarietyGenerator:
+    """gamma_get builds one per (map, period); compared by identity."""
     map_name: str
     period: int
     gammas: Tuple[MPoly, ...]               # in the invariant symbols
@@ -58,19 +60,16 @@ class VarietyGenerator:
     def l(self) -> int:
         return len(self.gammas)
 
+    @lru_cache(maxsize=None)
     def composed_numerators(self) -> Tuple[MPoly, ...]:
-        """Unreduced numerators of the composed generators, cached.
+        """Unreduced numerators of the composed generators, composed on
+        first use and cached.
 
         The gcd step of full reduction is prohibitive for the widest
         entries; the zero set of the raw numerator is all sampling needs.
         """
-        cached = getattr(self, "_num_cache", None)
-        if cached is None:
-            cached = tuple(
-                compose_parts(g, self.substitution)[0].with_vars(
-                    self.owner.varnames) for g in self.gammas)
-            object.__setattr__(self, "_num_cache", cached)
-        return cached
+        return tuple(compose_parts(g, self.substitution)[0].with_vars(
+            self.owner.varnames) for g in self.gammas)
 
 
 def available_periods(map_name: str) -> Tuple[int, ...]:
@@ -88,17 +87,23 @@ def _subs_params(text: str, symbols, params: dict) -> MPoly:
 def gamma_get(map_name: str, period: int,
               m: Optional[IntegrableMap] = None,
               params: dict = None, **kw) -> VarietyGenerator:
-    """Variety generator for (map_name, period), parameters substituted."""
+    """Variety generator for (map_name, period), parameters substituted;
+    one per (map, period)."""
     entry = _CATALOG.get(map_name)
-    periods = available_periods(map_name)
     if entry is None or str(period) not in entry["periods"]:
-        raise UnknownVarietyError(
-            f"no variety for ({map_name}, {period})", available=periods)
+        raise UnknownVarietyError(f"no variety for ({map_name}, {period})",
+                                  available=available_periods(map_name))
     if m is None:
         m = catalog_get(map_name, params=params, **kw)
     elif m.name != map_name:
         raise UnknownVarietyError(
             f"map {m.name!r} does not own the {map_name!r} varieties")
+    return _generator(m, period)
+
+
+@lru_cache(maxsize=None)
+def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
+    entry = _CATALOG[m.name]
     symbols = tuple(entry["symbols"])
     texts = entry["periods"][str(period)]
 
@@ -123,10 +128,10 @@ def gamma_get(map_name: str, period: int,
 
     if entry.get("coordinates"):
         subs = {v: RatFunc.var(v).with_vars(m.varnames) for v in m.varnames}
-        return VarietyGenerator(map_name, period, gammas, subs, m,
+        return VarietyGenerator(m.name, period, gammas, subs, m,
                                 in_coordinates=True)
     subs = dict(zip(m.invariant_names, m.invariants))
-    return VarietyGenerator(map_name, period, gammas, subs, m)
+    return VarietyGenerator(m.name, period, gammas, subs, m)
 
 
 def membership(g: VarietyGenerator, p: Sequence[complex],

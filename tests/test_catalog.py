@@ -57,6 +57,21 @@ def test_degenerate_moebius_parameters_rejected():
         catalog_get("moebius2d", a=2, b=Fraction(1, 2))
 
 
+# The cache tests use parameters no other test uses, so that test order
+# cannot decide what is already built.
+
+def test_a_map_is_built_once_per_normalised_parameters():
+    m = catalog_get("moebius2d", a=5, b=Fraction(2, 9))
+    assert catalog_get("moebius2d", params={"b": "2/9", "a": "10/2"}) is m
+    assert catalog_get("moebius2d", a=5, b=Fraction(1, 9)) is not m
+
+
+def test_a_rejected_build_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError):
+            catalog_get("moebius2d", a=4, b=Fraction(1, 4))
+
+
 def test_lyness2_exact_two_cycle():
     m = _get("lyness2")
     p = (Fraction(5),)

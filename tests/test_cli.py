@@ -200,12 +200,15 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
      "recorded periods: [2, 3]"),
     (["orbit", "--map", "lyness8", "--init", "1,1", "--steps", "3"],
      "--init"),
+    (["verify", "--map", "lv3", "--period", "3", "--format", "csv"],
+     "--format"),
+    (["list", "--format", "csv"], "--format"),
 ], ids=["verify-without-period", "negative-seeds", "zero-seeds",
         "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
         "negative-steps", "foreign-parameter", "eliminate-foreign-parameter",
         "eliminate-euler", "eliminate-qrt", "eliminate-example-period",
         "eliminate-moebius2d-period", "fixtures-unrecorded-period",
-        "orbit-init-length"])
+        "orbit-init-length", "verify-csv", "list-csv"])
 def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     try:
         code = main(argv)
@@ -260,3 +263,54 @@ def test_fixtures_fail_when_a_recorded_elimination_breaks(capsys,
     code, out, err = _run(capsys, "fixtures", "--map", "lv3", "--period", "2")
     assert code == EXIT_FAIL
     assert "no nontrivial factor" in err
+
+
+def _count_compositions(monkeypatch):
+    from periodmaps import varieties
+    calls = []
+    original = varieties.compose_parts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(varieties, "compose_parts", counted)
+    return calls
+
+
+def test_sample_requests_share_one_variety_generator(capsys, monkeypatch):
+    # parameters no other test uses, so nothing is composed beforehand
+    calls = _count_compositions(monkeypatch)
+    argv = ("sample", "--map", "moebius2d", "--period", "4", "--a", "3",
+            "--b", "2/7", "--seeds", "2")
+    assert _run(capsys, *argv)[0] == EXIT_OK
+    assert _run(capsys, *argv)[0] == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_off_variety_verify_composes_no_numerator(capsys, monkeypatch):
+    from functools import lru_cache
+    from periodmaps import varieties
+    # a fresh generator cache, so that no earlier test has composed lv3's
+    fresh = lru_cache(maxsize=None)(varieties._generator.__wrapped__)
+    monkeypatch.setattr(varieties, "_generator", fresh)
+    calls = _count_compositions(monkeypatch)
+    code, _, _ = _run(capsys, "verify", "--map", "lv3", "--off-variety",
+                      "--seeds", "1")
+    assert code == EXIT_OK
+    assert calls == []
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:]
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands_run(capsys):
+    commands = _readme_commands()
+    assert commands and all(argv for argv in commands)
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+        capsys.readouterr()
