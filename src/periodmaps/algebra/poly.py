@@ -34,6 +34,11 @@ def grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def _arity_error(point, need: int) -> ArityError:
+    return ArityError(
+        f"point of length {len(point)} for polynomial using {need} variables")
+
+
 def check_finite(value: complex) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NonFiniteError("evaluation overflowed to a non-finite value")
@@ -47,7 +52,7 @@ class MPoly:
     (one entry per variable) to nonzero Fraction coefficients.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_plan", "_coeffs")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar]):
         vs = tuple(variables)
@@ -65,6 +70,8 @@ class MPoly:
         self.vars = vs
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
+        self._plan = None
+        self._coeffs = None
 
     # -- constructors -------------------------------------------------
 
@@ -81,6 +88,8 @@ class MPoly:
         p.vars = variables
         p.terms = terms
         p._hash = None
+        p._plan = None
+        p._coeffs = None
         return p
 
     @classmethod
@@ -281,9 +290,19 @@ class MPoly:
         return MPoly._make(rest, terms)
 
     def as_univariate(self, var: str):
-        """Dense coefficient list [c0, c1, ...] of self viewed in var."""
-        d = self.degree(var)
-        return [self.coeff_of(var, k) for k in range(d + 1)]
+        """Dense coefficient list [c0, c1, ...] of self viewed in var.
+
+        The coefficients are split out once per var and kept, so repeated
+        calls share them (and their evaluation plans); each call returns a
+        new list.
+        """
+        if self._coeffs is None:
+            self._coeffs = {}
+        coeffs = self._coeffs.get(var)
+        if coeffs is None:
+            coeffs = self._coeffs[var] = tuple(
+                self.coeff_of(var, k) for k in range(self.degree(var) + 1))
+        return list(coeffs)
 
     def derivative(self, var: str) -> "MPoly":
         if var not in self.vars:
@@ -352,51 +371,59 @@ class MPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def _eval(self, values):
-        """Horner evaluation, one variable at a time."""
-        def rec(terms, i):
-            if i == len(self.vars):
-                return sum(terms.values()) if terms else 0
-            groups = {}
-            for exps, c in terms.items():
-                groups.setdefault(exps[i], {})[exps] = c
-            if len(groups) == 1 and 0 in groups:
-                return rec(groups[0], i + 1)
-            x = values[i]
-            acc = 0
-            prev = None
-            for e in sorted(groups, reverse=True):
-                if prev is None:
-                    acc = rec(groups[e], i + 1)
-                else:
-                    acc = acc * x ** (prev - e) + rec(groups[e], i + 1)
-                prev = e
-            if prev:
-                acc = acc * x ** prev
-            return acc
+    def _compile(self, leaf):
+        """(need, plan): the Horner plan of self, with leaf(c) at each
+        coefficient c, and how many leading variables a point must cover.
 
-        return rec(self.terms, 0)
+        A plan node is a leaf value or a tuple (i, first, steps, last) for
+        variable i: ``first`` is the child of the highest exponent, each
+        (gap, child) of ``steps`` multiplies by x_i**gap and adds the child
+        of the next lower exponent, and ``last`` is the lowest exponent.
+        Levels at which no term has a positive exponent are skipped.
+        """
+        n = len(self.vars)
+        need = 0
+
+        def build(items, i):
+            nonlocal need
+            if i == n:
+                return leaf(items[0][1])    # exponent tuples are distinct
+            groups = {}
+            for item in items:
+                groups.setdefault(item[0][i], []).append(item)
+            if len(groups) == 1 and 0 in groups:
+                return build(items, i + 1)
+            need = max(need, i + 1)
+            order = sorted(groups, reverse=True)
+            steps = tuple((prev - e, build(groups[e], i + 1))
+                          for prev, e in zip(order, order[1:]))
+            return i, build(groups[order[0]], i + 1), steps, order[-1]
+
+        plan = build(list(self.terms.items()), 0) if self.terms else leaf(0)
+        return need, plan
 
     def eval(self, point: Sequence[complex]) -> complex:
-        """Numeric value at a complex point (positional, aligned with vars)."""
-        used = self.used_vars()
-        need = max((self.vars.index(v) for v in used), default=-1) + 1
+        """Numeric value at a complex point (positional, aligned with vars).
+
+        The float plan is compiled on first use and kept.  Its leaves are
+        complex(c), which is how a Fraction enters complex arithmetic, so
+        the value is the one a walk over the Fraction terms would give.
+        """
+        if self._plan is None:
+            self._plan = self._compile(complex)
+        need, plan = self._plan
         if len(point) < need:
-            raise ArityError(
-                f"point of length {len(point)} for polynomial using {need} variables")
-        values = [complex(point[i]) if i < len(point) else 0j
-                  for i in range(len(self.vars))]
-        return check_finite(complex(self._eval(values)))
+            raise _arity_error(point, need)
+        # the plan reads only the first ``need`` values
+        values = [complex(c) for c in point[:len(self.vars)]]
+        return check_finite(_horner(plan, values))
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        used = self.used_vars()
-        need = max((self.vars.index(v) for v in used), default=-1) + 1
+        need, plan = self._compile(_as_fraction)
         if len(point) < need:
-            raise ArityError(
-                f"point of length {len(point)} for polynomial using {need} variables")
-        values = [_as_fraction(point[i]) if i < len(point) else Fraction(0)
-                  for i in range(len(self.vars))]
-        return self._eval(values)
+            raise _arity_error(point, need)
+        values = [_as_fraction(c) for c in point[:len(self.vars)]]
+        return _horner(plan, values)
 
     def max_abs_coeff(self) -> float:
         return max((abs(float(c)) for c in self.terms.values()), default=0.0)
@@ -427,6 +454,24 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.vars}, {self})"
+
+
+def _horner(node, values):
+    """Value of a plan node from MPoly._compile at values (one per variable).
+
+    Leaf children are read in place rather than through a call.
+    """
+    if node.__class__ is not tuple:
+        return node
+    i, first, steps, last = node
+    x = values[i]
+    acc = _horner(first, values) if first.__class__ is tuple else first
+    for gap, child in steps:
+        acc = acc * x ** gap + (
+            _horner(child, values) if child.__class__ is tuple else child)
+    if last:
+        acc = acc * x ** last
+    return acc
 
 
 # -- parsing ----------------------------------------------------------------

@@ -71,6 +71,15 @@ class VarietyGenerator:
         return tuple(compose_parts(g, self.substitution)[0].with_vars(
             self.owner.varnames) for g in self.gammas)
 
+    @lru_cache(maxsize=None)
+    def toda_quadratic(self) -> MPoly:
+        """toda3's t2 with w eliminated through t1 = 0, which leaves it
+        quadratic in v; built on first use and cached."""
+        t1 = self.substitution["t1"].num
+        t2 = self.substitution["t2"].num
+        chain = -(t1 - MPoly.var("w").with_vars(self.owner.varnames))
+        return t2.subs_poly({"w": chain})
+
 
 def available_periods(map_name: str) -> Tuple[int, ...]:
     entry = _CATALOG.get(map_name)
@@ -267,10 +276,7 @@ def sample_on_variety(g: VarietyGenerator, seed: int,
 
     if g.map_name == "toda3":
         # t1 = 0 fixes w linearly; t2 = 0 is then quadratic in v
-        t1 = g.substitution["t1"].num
-        t2 = g.substitution["t2"].num
-        chain = -(t1 - MPoly.var("w").with_vars(names))
-        t2sub = t2.subs_poly({"w": chain})
+        t2sub = g.toda_quadratic()
         for _ in range(32):
             drawn = tuple(_draw_coord(rng) for _ in range(4))
             got = _solve_toda(g, t2sub, drawn, tol)

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import Phase, given, settings, strategies as st
 
 from periodmaps.algebra import MPoly, divides, exact_divide, parse_poly
-from periodmaps.errors import InexactDivisionError, ParseError
+from periodmaps.errors import ArityError, InexactDivisionError, ParseError
 
 VARS = ("x", "y", "z")
 
@@ -272,3 +272,127 @@ def test_bulk_ring_laws_at_random_points():
         assert (p + q).eval_exact(pt) == pv + qv
         assert (p * q).eval_exact(pt) == pv * qv
         assert (p - q).eval_exact(pt) == pv - qv
+
+
+# -- numeric evaluation ------------------------------------------------------
+
+def _reference_eval(p: MPoly, values):
+    """Term-by-term Horner walk over the Fraction coefficients, regrouping
+    the terms at every call; eval's compiled plan must match it bit for bit.
+    """
+    def rec(terms, i):
+        if i == len(p.vars):
+            return sum(terms.values()) if terms else 0
+        groups = {}
+        for exps, c in terms.items():
+            groups.setdefault(exps[i], {})[exps] = c
+        if len(groups) == 1 and 0 in groups:
+            return rec(groups[0], i + 1)
+        x = values[i]
+        acc = 0
+        prev = None
+        for e in sorted(groups, reverse=True):
+            if prev is None:
+                acc = rec(groups[e], i + 1)
+            else:
+                acc = acc * x ** (prev - e) + rec(groups[e], i + 1)
+            prev = e
+        if prev:
+            acc = acc * x ** prev
+        return acc
+
+    return complex(rec(p.terms, 0))
+
+
+EVAL_VARS = ("a", "b", "c", "d")
+
+wide_coeffs = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                           max_denominator=10 ** 5).filter(lambda c: c != 0)
+
+
+@st.composite
+def polys_and_points(draw):
+    """A polynomial in up to four declared variables, some of them unused
+    (trailing ones included), and a complex point at least as long as the
+    last used variable; missing trailing coordinates are left out."""
+    n = draw(st.integers(0, len(EVAL_VARS)))
+    unused = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 7))):
+        exps = tuple(0 if i in unused else draw(st.integers(0, 5))
+                     for i in range(n))
+        terms[exps] = draw(wide_coeffs)
+    p = MPoly(EVAL_VARS[:n], terms)
+    used = [i for i in range(n) if any(e[i] for e in p.terms)]
+    length = draw(st.integers(used[-1] + 1 if used else 0, n))
+    point = draw(st.lists(
+        st.complex_numbers(max_magnitude=3, allow_nan=False,
+                           allow_infinity=False),
+        min_size=length, max_size=length))
+    return p, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_points())
+def test_eval_is_bit_identical_to_the_term_walk(case):
+    p, point = case
+    values = [complex(point[i]) if i < len(point) else 0j
+              for i in range(len(p.vars))]
+    want = _reference_eval(p, values)
+    for _ in range(2):      # the compiling call and a cached one
+        got = p.eval(point)
+        assert (repr(got.real), repr(got.imag)) == (
+            repr(want.real), repr(want.imag))
+
+
+def test_a_second_eval_reuses_the_compiled_plan(monkeypatch):
+    calls = []
+    compile_ = MPoly._compile
+
+    def counting(self, leaf):
+        calls.append(leaf)
+        return compile_(self, leaf)
+
+    monkeypatch.setattr(MPoly, "_compile", counting)
+    p = parse_poly("3/7*x^3*y - x*z^2 + 5", ("x", "y", "z"))
+    first = p.eval([1 + 2j, -0.5j, 0.25])
+    assert len(calls) == 1
+    assert p.eval([1 + 2j, -0.5j, 0.25]) == first
+    p.eval([2, 3, 4])
+    assert len(calls) == 1
+
+
+def test_a_short_point_is_rejected_on_every_call():
+    p = parse_poly("x*y + 1", ("x", "y", "z"))
+    for _ in range(3):
+        with pytest.raises(ArityError,
+                           match="point of length 1 for polynomial using 2 "
+                                 "variables"):
+            p.eval([1j])
+        with pytest.raises(ArityError):
+            p.eval_exact([Fraction(1)])
+    # the unused trailing variable needs no coordinate
+    assert p.eval([2, 3]) == 7
+
+
+@LIGHT
+@given(polys(), st.tuples(*[st.fractions(min_value=-5, max_value=5,
+                                         max_denominator=6)] * 3))
+def test_exact_eval_is_the_substitution_morphism(p, point):
+    bound = p.subs_values(dict(zip(VARS, point)))
+    assert bound.vars == ()
+    assert p.eval_exact(list(point)) == bound.constant_term()
+
+
+def test_as_univariate_returns_a_new_list_of_the_same_coefficients():
+    p = parse_poly("x^2*y + 3*x - y + 2", ("x", "y"))
+    want = [p.coeff_of("x", k) for k in range(3)]
+    first = p.as_univariate("x")
+    assert first == want
+    first[0] = MPoly.zero()
+    first.append(MPoly.const(1))
+    again = p.as_univariate("x")
+    assert again is not first
+    assert again == want
+    assert all(a is b for a, b in zip(again, p.as_univariate("x")))
+    assert p.as_univariate("y") == [p.coeff_of("y", 0), p.coeff_of("y", 1)]

@@ -106,3 +106,38 @@ def test_membership_uses_invariant_values():
     y = -1.0 / (1 + (1.0 / 3.0) * x)
     ok, res = membership(g, (x, y))
     assert ok and res[0] <= 1e-12
+
+
+# float.hex of each coordinate's (real, imag), as the term-by-term
+# evaluator over Fraction coefficients produced them: compiling the
+# evaluation must not move a single bit of a sampled point
+SAMPLED_HEX = {
+    ("lv3", 5, 0): [
+        ("-0x1.7000000000000p+1", "0x1.0000000000000p+0"),
+        ("0x1.8000000000000p+0", "0x1.8000000000000p+0"),
+        ("-0x1.2dc207ba89240p-5", "0x1.7c9b2dd71e343p-2")],
+    ("toda3", 3, 0): [
+        ("-0x1.2000000000000p+1", "0x1.c000000000000p+0"),
+        ("0x1.5000000000000p+1", "-0x1.4000000000000p+1"),
+        ("-0x1.c000000000000p+0", "0x1.4000000000000p+0"),
+        ("-0x1.3000000000000p+1", "0x0.0p+0"),
+        ("-0x1.92b980e312f5cp+0", "0x1.93432beb067e7p+1"),
+        ("0x1.54ae6038c4bd7p+2", "-0x1.d3432beb067e7p+1")],
+}
+
+
+@pytest.mark.parametrize("name,period,seed", sorted(SAMPLED_HEX))
+def test_sampled_points_are_bit_identical(name, period, seed):
+    p = sample_on_variety(gamma_get(name, period), seed)
+    got = [(c.real.hex(), c.imag.hex()) for c in p]
+    assert got == SAMPLED_HEX[(name, period, seed)]
+
+
+def test_toda_quadratic_is_built_once_per_generator():
+    g = gamma_get("toda3", 3)
+    q = g.toda_quadratic()
+    assert g.toda_quadratic() is q
+    assert q.degree("v") == 2 and q.degree("w") == 0
+    for seed in range(3):
+        sample_on_variety(g, seed)
+    assert g.toda_quadratic() is q
