@@ -5,7 +5,8 @@ from .poly import (MPoly, divides, exact_divide, normalize, parse_poly,
                    strip_var_monomials)
 from .ratfunc import RatFunc, compose_parts
 from .resultant import det_bareiss, resultant, sylvester_matrix
-from .roots import roots, roots_of_poly, root_sort_key
+from .roots import (coefficient_values, roots, roots_of_poly, roots_of_values,
+                    root_sort_key)
 
 __all__ = [
     "MPoly", "RatFunc",
@@ -13,7 +14,8 @@ __all__ = [
     "strip_var_monomials", "normalize",
     "poly_gcd", "squarefree_part",
     "resultant", "sylvester_matrix", "det_bareiss",
-    "roots", "roots_of_poly", "root_sort_key",
+    "roots", "roots_of_poly", "roots_of_values", "coefficient_values",
+    "root_sort_key",
     "compose_parts",
     "equal_up_to_scale",
 ]

@@ -355,20 +355,6 @@ class MPoly:
             terms[ne] = terms.get(ne, Fraction(0)) + f
         return MPoly(keep, terms)
 
-    def subs_poly(self, bindings: Mapping[str, "MPoly"]) -> "MPoly":
-        """Substitute polynomials for variables (ring homomorphism)."""
-        out = None
-        for exps, c in self.sorted_terms():
-            term = None
-            for v, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                f = bindings[v] ** e if v in bindings else MPoly.var(v) ** e
-                term = f if term is None else term * f
-            term = MPoly.const(c) if term is None else term * c
-            out = term if out is None else out + term
-        return MPoly.zero() if out is None else out
-
     # -- evaluation --------------------------------------------------------
 
     def _compile(self, leaf):
@@ -627,15 +613,13 @@ def divides(f: MPoly, p: MPoly) -> bool:
 
 
 def strip_var_monomials(p: MPoly) -> MPoly:
-    """p with every power of a single variable that divides it divided out."""
-    for v in p.used_vars():
-        mv = MPoly.var(v, p.vars)
-        while p.degree(v):
-            try:
-                p = exact_divide(p, mv)
-            except InexactDivisionError:
-                break
-    return p
+    """p with every power of a single variable that divides it divided out:
+    each exponent lowered by the least exponent of its variable."""
+    low = tuple(map(min, zip(*p.terms)))
+    if not any(low):
+        return p
+    return MPoly._make(p.vars, {tuple(map(sub, exps, low)): c
+                                for exps, c in p.terms.items()})
 
 
 def normalize(p: MPoly) -> MPoly:

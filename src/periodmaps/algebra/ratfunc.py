@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 from ..errors import PoleError
@@ -141,25 +143,52 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def compose_parts(p: MPoly, substitutions: Mapping[str, RatFunc]):
-    """(numerator, denominator) of the composition, without reduction.
+def compose_parts(p: MPoly,
+                  substitutions: Mapping[str, Union[MPoly, RatFunc]]):
+    """(numerator, denominator) of p with each variable v of substitutions
+    replaced by its value num_v/den_v (den_v = 1 for an MPoly value) and
+    the denominators cleared to den_v^deg_v(p); no gcd is taken.
 
-    The pair may share a factor; use this when only the zero set of the
-    numerator matters and the gcd would be expensive.
+    Each num_v^e * den_v^(deg_v - e) is built once per call and multiplies
+    the sum of all terms of p that share its power (Horner-like, variable
+    by variable).  Both results have the variables p uses, each substituted
+    one replaced in place by those of its value.
     """
-    subs = {v: RatFunc.of(r) for v, r in substitutions.items() if v in p.vars}
-    degs = {v: p.degree(v) for v in subs}
-    den = MPoly.const(1)
-    for v, r in subs.items():
-        den = den * r.den ** degs[v]
-    num = MPoly.zero()
-    for exps, c in p.sorted_terms():
-        term = MPoly.const(c)
-        for v, e in zip(p.vars, exps):
-            if v in subs:
-                r = subs[v]
-                term = term * r.num ** e * r.den ** (degs[v] - e)
-            elif e:
-                term = term * MPoly.var(v) ** e
-        num = num + term
-    return num, den
+    used = p.used_vars()
+    parts = {v: (r, None) if isinstance(r, MPoly) else (r.num, r.den)
+             for v, r in substitutions.items() if v in used}
+    order = tuple(dict.fromkeys(
+        w for v in used for w in (parts[v][0].vars if v in parts else (v,))))
+    den = MPoly.const(1, order)
+    factors = []        # (position in p.vars, exponent -> factor)
+    for v in used:
+        i, d = p.vars.index(v), p.degree(v)
+        num_v, den_v = parts.get(v, (MPoly.var(v), None))
+        nums = _powers(num_v.with_vars(order), d)
+        if den_v is not None:
+            dens = _powers(den_v.with_vars(order), d)
+            den = den * dens[d]
+            nums = {e: nums[e] * dens[d - e]
+                    for e in {exps[i] for exps in p.terms}}
+        factors.append((i, nums))
+
+    def horner(items, k):
+        if k == len(factors):
+            return items[0][1]          # exponent tuples are distinct
+        i, factor = factors[k]
+        groups = {}
+        for item in items:
+            groups.setdefault(item[0][i], []).append(item)
+        total = MPoly.zero(order)
+        for e, group in groups.items():
+            total = total + factor[e] * horner(group, k + 1)
+        return total
+
+    num = horner(list(p.terms.items()), 0) if p.terms else 0
+    return (num if isinstance(num, MPoly) else MPoly.const(num, order)), den
+
+
+def _powers(base: MPoly, d: int) -> list:
+    """[base^0, ..., base^d]."""
+    return list(accumulate(repeat(base, d), mul,
+                           initial=MPoly.const(1, base.vars)))

@@ -68,18 +68,27 @@ def roots(coeffs: Sequence[complex], tol: float = DEFAULT_TOL) -> List[complex]:
     return sorted(polished, key=root_sort_key)
 
 
-def roots_of_poly(p: MPoly, var: str, point: dict, tol: float = DEFAULT_TOL):
-    """Roots in var of p after numeric substitution of the other variables.
+def coefficient_values(p: MPoly, var: str, point: dict) -> List[complex]:
+    """Values at point of p's coefficients in var, lowest degree first."""
+    return [c.eval([point.get(v, 0j) for v in c.vars])
+            for c in p.as_univariate(var)]
 
-    point maps variable name -> complex value for every other used variable.
-    """
-    coeffs_low_first = p.as_univariate(var)
-    values = []
-    for c in coeffs_low_first:
-        values.append(c.eval([point.get(v, 0j) for v in c.vars]))
-    # strip (numerically) vanishing leading coefficients
+
+def roots_of_values(values: Sequence[complex], var: str,
+                    tol: float = DEFAULT_TOL) -> List[complex]:
+    """Roots of sum values[k] var^k once the (numerically) vanishing
+    leading coefficients are stripped."""
+    values = list(values)
     while len(values) > 1 and abs(values[-1]) <= tol * (1 + max(abs(v) for v in values)):
         values.pop()
     if len(values) < 2:
         raise RootFindingError("polynomial is (numerically) constant in " + var)
     return roots(list(reversed(values)), tol=tol)
+
+
+def roots_of_poly(p: MPoly, var: str, point: dict, tol: float = DEFAULT_TOL):
+    """Roots in var of p after numeric substitution of the other variables.
+
+    point maps variable name -> complex value for every other used variable.
+    """
+    return roots_of_values(coefficient_values(p, var, point), var, tol=tol)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
-from .algebra import (MPoly, equal_up_to_scale, exact_divide, parse_poly,
+from .algebra import (MPoly, compose_parts, exact_divide, parse_poly,
                       resultant, roots, root_sort_key)
 from .errors import (DegenerateParameterError, EliminationError,
                      InexactDivisionError, RootFindingError)
@@ -220,7 +220,7 @@ def compose(q: BiquadParams) -> BiquadParams:
             "backtracking factor does not split off the two-step resultant",
             witnesses=R) from exc
     # degenerate when the remaining factor still vanishes on the diagonal
-    diag = T.subs_poly({"X": MPoly.var("x")})
+    diag = compose_parts(T, {"X": MPoly.var("x")})[0]
     if diag.is_zero():
         raise DegenerateParameterError(
             "two-step correspondence degenerates to the identity")

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import MPoly, RatFunc
+from .algebra import MPoly, RatFunc, compose_parts
 from .errors import (BranchSelectionError, DegenerateParameterError,
                      MissingParameterError, NonFiniteError,
                      NotRecordedError, PoleError, SingularSystemError,
@@ -163,7 +163,7 @@ def lv_chain(xs, one, zero):
     return rhs, (a, b, c, e)
 
 
-def lv_cyclic_apply(x: Point, tol: float = 1e-9):
+def lv_cyclic_apply(x: Point):
     """Both solution branches of X_j(1-X_{j-1}) = x_j(1-x_{j+1}), cyclic.
 
     Propagates X_1 = t through the Moebius chain and solves the quadratic
@@ -284,7 +284,7 @@ def _euler_inertia_from_alpha(al: Fraction, be: Fraction, ga: Fraction):
 def _make_euler_apply(al, be, ga):
     alc, bec, gac = complex(al), complex(be), complex(ga)
 
-    def apply_fn(p: Point, tol: float = 1e-9) -> Point:
+    def apply_fn(p: Point) -> Point:
         x, y, z = p
         A = np.array([[1, -alc * z, -alc * y],
                       [-bec * z, 1, -bec * x],
@@ -374,7 +374,7 @@ def _moebius2d_relations(period):
     the recorded recurrences hold for the whole family."""
     from .moebius import derive_gamma
     x, y, a, b = _vars(("x", "y", "a", "b"))
-    gam = derive_gamma(period).subs_poly({"h": y * (1 + b * x)})
+    gam = compose_parts(derive_gamma(period), {"h": y * (1 + b * x)})[0]
     return {"X": MPoly.var("X") - (x + a) * y}, (gam,)
 
 

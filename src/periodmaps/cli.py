@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import varieties as V
 from .algebra import equal_up_to_scale
@@ -278,13 +279,15 @@ def cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-def _add_common(sp, period_required=True):
+def _add_common(sp, period_required=True, seeds=True, params=True):
     sp.add_argument("--map", required=True, choices=MAP_NAMES + ("example",))
     sp.add_argument("--period", type=int, required=period_required)
-    sp.add_argument("--seeds", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
+    if seeds:
+        sp.add_argument("--seeds", type=int, default=10)
+        sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-9)
-    _add_params(sp)
+    if params:
+        _add_params(sp)
     _add_output(sp)
 
 
@@ -298,7 +301,9 @@ def _add_output(sp, formats=("json", "text")):
     sp.add_argument("--out")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared by every main call."""
     ap = argparse.ArgumentParser(
         prog="periodmaps",
         description="integrable maps, invariant varieties, recurrences")
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("eliminate", help="derive recurrence polynomials")
-    _add_common(sp)
+    _add_common(sp, seeds=False)
     sp.set_defaults(fn=cmd_eliminate)
 
     sp = sub.add_parser("orbit", help="dump an orbit as CSV or JSON")
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_orbit)
 
     sp = sub.add_parser("fixtures", help="verify recorded recurrences")
-    _add_common(sp)
+    _add_common(sp, seeds=False, params=False)
     sp.set_defaults(fn=cmd_fixtures)
 
     return ap

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (MPoly, RatFunc, exact_divide, normalize, poly_gcd,
-                      strip_var_monomials)
+from .algebra import (MPoly, RatFunc, compose_parts, exact_divide, normalize,
+                      poly_gcd, strip_var_monomials)
 from .errors import (DegenerateFamilyError, DegenerateParameterError,
                      InexactDivisionError)
 from .recurrence import RecurrenceRelation
@@ -145,6 +145,7 @@ def recurrence_F(n: int, a=None, b=None) -> RecurrenceRelation:
     (x + a)^deg_h.
     """
     gamma = derive_gamma(n)
+    apoly, bpoly = MPoly.var("a"), MPoly.var("b")
     if a is not None or b is not None:
         if a is None or b is None:
             raise ValueError("give both a and b, or neither")
@@ -152,23 +153,13 @@ def recurrence_F(n: int, a=None, b=None) -> RecurrenceRelation:
         if a * b == 1:
             raise DegenerateParameterError("a*b = 1 collapses the Moebius map")
         gamma = gamma.subs_values({"a": a, "b": b})
-        bpoly = MPoly.const(b)
-        apoly = MPoly.const(a)
-    else:
-        bpoly = MPoly.var("b")
-        apoly = MPoly.var("a")
-    x = MPoly.var("x")
-    X = MPoly.var("X")
-    up = X * (1 + bpoly * x)
-    down = x + apoly
-    m = gamma.degree("h")
-    coeffs = gamma.as_univariate("h")
-    F = MPoly.zero()
-    for k, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        F = F + c * up ** k * down ** (m - k)
-    F = F.primitive()
+        apoly, bpoly = MPoly.const(a), MPoly.const(b)
+    x, X = MPoly.var("x"), MPoly.var("X")
+    h = RatFunc(X * (1 + bpoly * x), x + apoly, reduce=False)
+    F = compose_parts(gamma, {"h": h})[0]
+    # primitive() makes the leading term positive, in the term order the
+    # recorded recurrences were normalised in
+    F = F.with_vars(("b", "a", "X", "x")).primitive()
     if F.is_zero():
         raise DegenerateParameterError("recurrence polynomial is zero")
     varorder = ("x", "X") if a is not None else ("x", "X", "a", "b")

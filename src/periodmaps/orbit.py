@@ -81,11 +81,9 @@ def _drift_along(m: IntegrableMap, pts: Sequence[Point]) -> float:
     return worst
 
 
-def conservation(m: IntegrableMap, p0: Sequence[complex], n: int,
-                 tol: float = 1e-9) -> float:
+def conservation(m: IntegrableMap, p0: Sequence[complex], n: int) -> float:
     """Max relative invariant deviation from the step-0 values over n steps."""
-    pts = iterate(m, p0, n)
-    return _drift_along(m, pts)
+    return _drift_along(m, iterate(m, p0, n))
 
 
 def exclusivity_scan(m: IntegrableMap, p0: Sequence[complex], n_max: int,

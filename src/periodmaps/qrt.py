@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .algebra import MPoly, RatFunc
-from .biquad import GAMMAS, BiquadParams, coerce_params, is_exact
+from .algebra import MPoly, RatFunc, compose_parts
+from .biquad import (GAMMAS, PARAM_NAMES, BiquadParams, coerce_params,
+                     is_exact)
 from .errors import DegenerateParameterError, PoleError
 from .recurrence import RecurrenceRelation
 
@@ -96,15 +97,20 @@ def reduce_to_biquadratic(P: QRTParams, h) -> BiquadParams:
         tuple(complex(a) + h * complex(b) for a, b in zip(P.qp, P.qpp)))
 
 
+def on_pencil(gamma: MPoly, qp, qpp) -> MPoly:
+    """gamma(q' + h q''), gamma in the six parameters a..f, as a polynomial
+    in h."""
+    h = MPoly.var("h")
+    line = {name: (MPoly.const(Fraction(ap)) + Fraction(app) * h)
+            for name, ap, app in zip(PARAM_NAMES, qp, qpp)}
+    return compose_parts(gamma, line)[0].with_vars(("h",))
+
+
 def gamma_in_h(P: QRTParams, n: int) -> MPoly:
     """gamma^(n)(q' + h q'') as a univariate polynomial in h."""
     if n not in GAMMAS:
         raise KeyError(f"no generating polynomial for period {n}")
-    h = MPoly.var("h")
-    subs = {}
-    for name, ap, app in zip(("a", "b", "c", "d", "e", "f"), P.qp, P.qpp):
-        subs[name] = (MPoly.const(ap) + app * h).with_vars(("h",))
-    return GAMMAS[n].subs_poly(subs).with_vars(("h",))
+    return on_pencil(GAMMAS[n], P.qp, P.qpp)
 
 
 def _rename(p: MPoly, old: str, new: str) -> MPoly:
@@ -121,18 +127,9 @@ def qrt_recurrence(P: QRTParams, n: int) -> RecurrenceRelation:
     if g.is_zero():
         raise DegenerateParameterError(
             "gamma vanishes identically for these parameters")
-    H = qrt_invariant_ratfunc(P.qp, P.qpp)
-    N = _rename(H.num.with_vars(("x", "y")), "y", "X")
-    D = _rename(H.den.with_vars(("x", "y")), "y", "X")
-    m = g.degree("h")
-    coeffs = g.as_univariate("h")
-    F = MPoly.zero(("x", "X"))
-    for k, c in enumerate(coeffs):
-        ck = c.constant_term()
-        if ck == 0:
-            continue
-        F = F + ck * N ** k * D ** (m - k)
-    F = F.primitive()
+    H = qrt_invariant_ratfunc(P.qp, P.qpp).with_vars(("x", "y"))
+    F = _rename(compose_parts(g, {"h": H})[0], "y", "X")
+    F = F.with_vars(("x", "X")).primitive()
     if F.is_zero():
         raise DegenerateParameterError(
             "recurrence polynomial vanished after clearing")

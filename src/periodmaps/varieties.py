@@ -16,11 +16,13 @@ from functools import lru_cache
 from importlib import resources
 from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import (MPoly, RatFunc, compose_parts, parse_poly,
-                      root_sort_key, roots_of_poly)
+from .algebra import (MPoly, RatFunc, coefficient_values, compose_parts,
+                      parse_poly, root_sort_key, roots_of_poly,
+                      roots_of_values)
 from .catalog import IntegrableMap, catalog_get
 from .errors import (PoleError, RootFindingError, SamplingError,
                      UnknownVarietyError)
+from .qrt import on_pencil
 
 GRID_DENOM = 8
 GRID_SPAN = 24          # numerators drawn from [-24, 24], i.e. [-3, 3]
@@ -78,7 +80,7 @@ class VarietyGenerator:
         t1 = self.substitution["t1"].num
         t2 = self.substitution["t2"].num
         chain = -(t1 - MPoly.var("w").with_vars(self.owner.varnames))
-        return t2.subs_poly({"w": chain})
+        return compose_parts(t2, {"w": chain})[0]
 
 
 def available_periods(map_name: str) -> Tuple[int, ...]:
@@ -118,15 +120,9 @@ def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
 
     if "pencil" in entry:
         # generators live on the parameter pencil q' + h q''
-        h = MPoly.var("h")
-        subs = {}
-        for name, ap, app in zip(entry["pencil"], m.params["qp"],
-                                 m.params["qpp"]):
-            subs[name] = (MPoly.const(Fraction(ap))
-                          + Fraction(app) * h).with_vars(("h",))
         gammas = tuple(
-            parse_poly(t, tuple(entry["pencil"])).subs_poly(subs)
-            .with_vars(("h",)) for t in texts)
+            on_pencil(parse_poly(t, tuple(entry["pencil"])), m.params["qp"],
+                      m.params["qpp"]) for t in texts)
     elif "parameters" in entry:
         pvals = {k: m.params[k] for k in entry["parameters"]}
         gammas = tuple(_subs_params(t, symbols, pvals).with_vars(symbols)
@@ -219,20 +215,11 @@ def _polish_root(coeffs, z: complex) -> complex:
     return best
 
 
-def _solve_last(g: VarietyGenerator, num: MPoly, drawn, last: str,
-                tol: float):
-    point = dict(zip(g.owner.varnames[:-1], drawn))
-    try:
-        cands = roots_of_poly(num, last, point, tol=1e-8)
-    except (RootFindingError, ValueError):
-        return None
-    coeffs = [c.eval([point.get(v, 0j) for v in c.vars])
-              for c in num.as_univariate(last)]
-    cands = [_polish_root(coeffs, r) for r in cands]
-    for r in sorted(cands, key=root_sort_key):
-        if abs(r) < 1e-6:
+def _first_member(g: VarietyGenerator, points, tol: float):
+    """The first candidate on the variety with no coordinate below 1e-6."""
+    for full in points:
+        if any(abs(c) < 1e-6 for c in full):
             continue
-        full = tuple(drawn) + (r,)
         try:
             ok, _ = membership(g, full, tol=tol)
         except PoleError:
@@ -240,6 +227,18 @@ def _solve_last(g: VarietyGenerator, num: MPoly, drawn, last: str,
         if ok:
             return full
     return None
+
+
+def _solve_last(g: VarietyGenerator, num: MPoly, drawn, last: str,
+                tol: float):
+    point = dict(zip(g.owner.varnames[:-1], drawn))
+    try:
+        coeffs = coefficient_values(num, last, point)
+        cands = roots_of_values(coeffs, last, tol=1e-8)
+    except (RootFindingError, ValueError):
+        return None
+    cands = sorted((_polish_root(coeffs, r) for r in cands), key=root_sort_key)
+    return _first_member(g, (drawn + (r,) for r in cands), tol)
 
 
 def _solve_toda(g: VarietyGenerator, t2sub: MPoly, drawn, tol: float):
@@ -248,18 +247,8 @@ def _solve_toda(g: VarietyGenerator, t2sub: MPoly, drawn, tol: float):
         cands = roots_of_poly(t2sub, "v", point, tol=1e-8)
     except (RootFindingError, ValueError):
         return None
-    for v in sorted(cands, key=root_sort_key):
-        w = -(sum(drawn) + v)
-        if abs(v) < 1e-6 or abs(w) < 1e-6:
-            continue
-        full = tuple(drawn) + (v, w)
-        try:
-            ok, _ = membership(g, full, tol=tol)
-        except PoleError:
-            continue
-        if ok:
-            return full
-    return None
+    return _first_member(g, (drawn + (v, -(sum(drawn) + v))
+                             for v in sorted(cands, key=root_sort_key)), tol)
 
 
 def sample_on_variety(g: VarietyGenerator, seed: int,
@@ -277,25 +266,20 @@ def sample_on_variety(g: VarietyGenerator, seed: int,
     if g.map_name == "toda3":
         # t1 = 0 fixes w linearly; t2 = 0 is then quadratic in v
         t2sub = g.toda_quadratic()
-        for _ in range(32):
-            drawn = tuple(_draw_coord(rng) for _ in range(4))
-            got = _solve_toda(g, t2sub, drawn, tol)
-            if got is not None:
-                return got
-        raise SamplingError(
-            f"no admissible draw for ({g.map_name}, {g.period}, seed {seed})")
-
-    if g.l != 1:
-        raise SamplingError(
-            f"no sequential solve path for {g.map_name} with {g.l} generators")
-    num = g.composed_numerators()[0]
-    last = names[-1]
-    if num.degree(last) == 0:
-        raise SamplingError(
-            f"generator does not involve the solve coordinate {last!r}")
+        solve = lambda drawn: _solve_toda(g, t2sub, drawn, tol)
+    else:
+        if g.l != 1:
+            raise SamplingError(f"no sequential solve path for {g.map_name} "
+                                f"with {g.l} generators")
+        num = g.composed_numerators()[0]
+        last = names[-1]
+        if num.degree(last) == 0:
+            raise SamplingError(
+                f"generator does not involve the solve coordinate {last!r}")
+        solve = lambda drawn: _solve_last(g, num, drawn, last, tol)
     for _ in range(32):
-        drawn = tuple(_draw_coord(rng) for _ in range(len(names) - 1))
-        got = _solve_last(g, num, drawn, last, tol)
+        # one coordinate per generator is solved for, the others drawn
+        got = solve(tuple(_draw_coord(rng) for _ in range(len(names) - g.l)))
         if got is not None:
             return got
     raise SamplingError(

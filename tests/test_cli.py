@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import periodmaps
+from periodmaps import cli
 from periodmaps.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -203,12 +204,19 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
     (["verify", "--map", "lv3", "--period", "3", "--format", "csv"],
      "--format"),
     (["list", "--format", "csv"], "--format"),
+    (["fixtures", "--map", "moebius2d", "--period", "3", "--a", "5", "--b",
+      "7"], "unrecognized arguments: --a 5 --b 7"),
+    (["fixtures", "--map", "lv3", "--period", "2", "--seeds", "5", "--seed",
+      "9"], "unrecognized arguments: --seeds 5 --seed 9"),
+    (["eliminate", "--map", "lv4", "--period", "2", "--seeds", "3", "--seed",
+      "4"], "unrecognized arguments: --seeds 3 --seed 4"),
 ], ids=["verify-without-period", "negative-seeds", "zero-seeds",
         "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
         "negative-steps", "foreign-parameter", "eliminate-foreign-parameter",
         "eliminate-euler", "eliminate-qrt", "eliminate-example-period",
         "eliminate-moebius2d-period", "fixtures-unrecorded-period",
-        "orbit-init-length", "verify-csv", "list-csv"])
+        "orbit-init-length", "verify-csv", "list-csv", "fixtures-parameters",
+        "fixtures-seeds", "eliminate-seeds"])
 def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     try:
         code = main(argv)
@@ -218,6 +226,22 @@ def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     assert code == EXIT_USAGE
     assert message in out.err
     assert out.out == ""
+
+
+def test_two_main_calls_build_one_parser(capsys, monkeypatch):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "periodmaps":
+            built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert _run(capsys, "list")[0] == EXIT_OK
+    assert _run(capsys, "list", "--map", "lv3")[0] == EXIT_OK
+    assert len(built) == 1
 
 
 def test_fixtures_derives_once_per_map_and_period(capsys, monkeypatch):

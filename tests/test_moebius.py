@@ -1,6 +1,7 @@
 """Parameter dynamics of the one-dimensional Moebius family."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -43,6 +44,34 @@ def test_recurrence_with_numeric_parameters():
     want = fix.F.subs_values({"a": Fraction(1), "b": Fraction(2)})
     assert equal_up_to_scale(rec.F, want)
     assert set(rec.F.used_vars()) <= {"x", "X"}
+
+
+# sha256 of str(F), as the per-term clearing loop sum_k c_k up^k down^(m-k)
+# wrote it before recurrence_F went through compose_parts
+RECURRENCE_SHA256 = {
+    (2, None): "406eddb4cf815e0ec433554e162aa545eb19321657aaf63c78e832ac44ecb74f",
+    (3, None): "39f3f6bd0a638130ec8e828dd9352ac7b97e0b692ad002e38f45821fb8e58208",
+    (4, None): "96fc80610370d649a663dc31f764b605f7f12cef8bb655b359dee48b5869a2ce",
+    (5, None): "9016e0153d1ce760b2c2827530cd772a10c58c8d3f1e5a6785dea766335f0a2d",
+    (6, None): "eef7ea84dc3ce704972a0a4702a73b03de801c9099e69760ea956435bedf771d",
+    (7, None): "2792cde6e09ab456b7b20c08f9678eb6d41652eb2ad396b446961da7c11f592e",
+    (8, None): "3e522902d94a9b57c182dc5efc99ee7e1451d4636e95b61573f30174962cd16d",
+    (2, (1, 2)): "9c64633d754c5b10eec16bca0dd2377d55585abe3c24fb7f7f2921137b227bce",
+    (3, (1, 2)): "a5a38438a9fe51c0646befb912df811153837643abdf4b7b815a37f05c7ab5ba",
+    (4, (1, 2)): "95d27d71ed537812180c2e3dd58d99023ec7397a09d6634474f37aaa2b313685",
+    (5, (1, 2)): "83f562d845df81d632ce2f1d85708d1fa4223d34ced356daad4d2664a2c7c384",
+    (6, (1, 2)): "648e2454ebacd08ba34e16c7d5da23003b9cae9ca847b09826b1711351b1bfb9",
+    (7, (1, 2)): "16056574d6c1ca3bd24bdf37d3791470260887e081f5ff1e12fd5448189feb5b",
+    (8, (1, 2)): "160f981a53fb9f6ad4b60f464981a6309e07b59a51f2f8a5df04829a7d25f4b8",
+}
+
+
+@pytest.mark.parametrize("n,ab", sorted(RECURRENCE_SHA256,
+                                        key=lambda k: (k[1] is None, k)))
+def test_recurrence_text_is_pinned(n, ab):
+    rec = recurrence_F(n) if ab is None else recurrence_F(n, *ab)
+    got = hashlib.sha256(str(rec.F).encode()).hexdigest()
+    assert got == RECURRENCE_SHA256[(n, ab)]
 
 
 def test_recurrence_rejects_half_specified_parameters():

@@ -1,5 +1,6 @@
 """Planar QRT dynamics and the induced recurrence polynomials."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,29 @@ def test_recurrence_roots_lie_on_periodic_level_sets(n):
             if abs(orbit[n] - orbit[0]) < 1e-5:
                 closed += 1
     assert tried >= 3 and closed >= tried // 2
+
+
+# sha256 of str(F) at the two parameter sets of the benchmark campaign, as
+# the per-term clearing loop sum_k c_k N^k D^(m-k) wrote it before
+# qrt_recurrence went through compose_parts
+RECURRENCE_SHA256 = {
+    ((1, 2, 0, 3, 1, 2), (0, 1, 1, 0, 2, 1)): {
+        3: "d135bec57d859a5f3944f41f7ee1c48ebf3da7994eb61bf5898c88e2dd692983",
+        4: "d1ff6528d099d370603f73d68d2996db539b47d66708db4cb183c237e345a5e9",
+        5: "2aefbc588659e7ff54693124f358064d291ff4b15be5b5fec1931527379c3693"},
+    ((2, -1, 1, 0, 3, 1), (1, 0, -1, 2, 1, 1)): {
+        3: "7f6bc495ca1ae3d875537f6dd26161c8a78d8b654efd8f841846744d80b8651a",
+        4: "ef889d0ce97d4ac55136557ad912fa81d26b4ddfdda2cdea5a26edcdbb224e9c",
+        5: "b61dc1db8ec629ddcdb84a1bc7d4667e5051d67d51021d954a78155cc5173120"},
+}
+
+
+@pytest.mark.parametrize("qp,qpp", sorted(RECURRENCE_SHA256))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_recurrence_text_is_pinned(qp, qpp, n):
+    F = qrt_recurrence(QRTParams.of(qp, qpp), n).F
+    got = hashlib.sha256(str(F).encode()).hexdigest()
+    assert got == RECURRENCE_SHA256[(qp, qpp)][n]
 
 
 def test_qrt_params_validate_their_shape():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodmaps.algebra import MPoly, parse_poly
+from periodmaps.algebra import MPoly, RatFunc, compose_parts, parse_poly
 from periodmaps.catalog import catalog_get
 from periodmaps.errors import UnknownVarietyError
 from periodmaps.varieties import (
@@ -141,3 +141,46 @@ def test_toda_quadratic_is_built_once_per_generator():
     for seed in range(3):
         sample_on_variety(g, seed)
     assert g.toda_quadratic() is q
+
+
+def _per_term_composition(p, substitutions):
+    """The composition loop compose_parts ran before its power table: each
+    term builds its own num^e * den^(deg - e)."""
+    subs = {v: RatFunc.of(r) for v, r in substitutions.items() if v in p.vars}
+    degs = {v: p.degree(v) for v in subs}
+    den = MPoly.const(1)
+    for v, r in subs.items():
+        den = den * r.den ** degs[v]
+    num = MPoly.zero()
+    for exps, c in p.sorted_terms():
+        term = MPoly.const(c)
+        for v, e in zip(p.vars, exps):
+            if v in subs:
+                r = subs[v]
+                term = term * r.num ** e * r.den ** (degs[v] - e)
+            elif e:
+                term = term * MPoly.var(v) ** e
+        num = num + term
+    return num, den
+
+
+EULER = {"alpha": Fraction(1, 3), "beta": Fraction(1, 5),
+         "gamma": Fraction(-2, 7)}
+MOEBIUS = {"a": Fraction(2), "b": Fraction(1, 3)}
+QRT = {"qp": (1, 2, 0, 3, 1, 2), "qpp": (0, 1, 1, 0, 2, 1)}
+COMPOSED = ([("lv3", n, None) for n in (2, 3, 4, 5)]
+            + [("lv4", 2, None), ("toda3", 3, None), ("euler", 3, EULER)]
+            + [("moebius2d", n, MOEBIUS) for n in range(2, 7)]
+            + [("qrt", n, QRT) for n in (3, 4, 5)])
+
+
+@pytest.mark.parametrize("name,period,params", COMPOSED,
+                         ids=[f"{n}-{p}" for n, p, _ in COMPOSED])
+def test_compose_parts_matches_the_per_term_loop(name, period, params):
+    g = gamma_get(name, period, params=params)
+    for gamma in g.gammas:
+        got = compose_parts(gamma, g.substitution)
+        want = _per_term_composition(gamma, g.substitution)
+        for p, q in zip(got, want):
+            assert p.vars == q.vars
+            assert p.terms == q.terms
