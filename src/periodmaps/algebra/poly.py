@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from ..errors import ArityError, InexactDivisionError, NonFiniteError, ParseError
 

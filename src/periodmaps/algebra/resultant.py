@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
 from ..errors import NothingToEliminateError

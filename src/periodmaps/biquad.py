@@ -17,6 +17,7 @@ from .errors import (DegenerateParameterError, EliminationError,
                      InexactDivisionError, RootFindingError)
 
 PARAM_NAMES = ("a", "b", "c", "d", "e", "f")
+BRANCH_TOL = 1e-9       # relative size below which an X-coefficient is zero
 
 BiquadParams = Tuple[Union[Fraction, complex], ...]
 
@@ -26,15 +27,12 @@ def coerce_params(q: Sequence) -> BiquadParams:
     if len(q) != 6:
         raise DegenerateParameterError("a biquadratic needs six parameters")
     out = []
-    exact = True
     for c in q:
         if isinstance(c, (int, Fraction)):
             out.append(Fraction(c))
         else:
             out.append(complex(c))
-            exact = False
-    if all((isinstance(c, Fraction) and c == 0) or
-           (isinstance(c, complex) and c == 0) for c in out):
+    if all(c == 0 for c in out):
         raise DegenerateParameterError("the zero biquadratic is not a correspondence")
     return tuple(out)
 
@@ -66,38 +64,36 @@ def s_value(q: BiquadParams, X: complex, x: complex) -> complex:
     return xi * X * X + eta * X + rho
 
 
-def solve_branches(q: BiquadParams, x: complex, tol: float = 1e-9):
+def solve_branches(q: BiquadParams, x: complex):
     """The up-to-two branch values X with S_q(X, x) = 0, sorted."""
     xi, eta, rho = quadratic_coeffs(q, x)
     scale = max(abs(xi), abs(eta), abs(rho))
     if scale == 0:
         raise DegenerateParameterError(
             "the X-quadratic vanishes identically at this point")
-    if abs(xi) <= tol * scale:
-        if abs(eta) <= tol * scale:
+    if abs(xi) <= BRANCH_TOL * scale:
+        if abs(eta) <= BRANCH_TOL * scale:
             raise DegenerateParameterError(
                 "the X-quadratic is degenerate at this point")
         return [-rho / eta]
-    return roots([xi, eta, rho], tol=tol)
+    return roots([xi, eta, rho], tol=BRANCH_TOL)
 
 
-def step_branch(q: BiquadParams, prev: complex, cur: complex,
-                tol: float = 1e-9) -> complex:
+def step_branch(q: BiquadParams, prev: complex, cur: complex) -> complex:
     """Non-backtracking step: the branch at cur farthest from prev."""
-    cands = sorted(solve_branches(q, cur, tol=tol), key=root_sort_key)
+    cands = sorted(solve_branches(q, cur), key=root_sort_key)
     return max(cands, key=lambda z: (abs(z - prev), root_sort_key(z)))
 
 
-def follow(q: BiquadParams, x0: complex, steps: int, branch: int = 0,
-           tol: float = 1e-9):
+def follow(q: BiquadParams, x0: complex, steps: int, branch: int = 0):
     """Branch-followed orbit [x0, x1, ..., x_steps]."""
-    first = solve_branches(q, x0, tol=tol)
+    first = solve_branches(q, x0)
     if branch >= len(first):
         raise DegenerateParameterError(
             f"branch {branch} not available ({len(first)} roots)")
     orbit = [complex(x0), first[branch]]
     while len(orbit) < steps + 1:
-        orbit.append(step_branch(q, orbit[-2], orbit[-1], tol=tol))
+        orbit.append(step_branch(q, orbit[-2], orbit[-1]))
     return orbit
 
 
@@ -254,7 +250,7 @@ def _read_biquad_form(T: MPoly) -> BiquadParams:
     return coerce_params(q2)
 
 
-def _check_two_step(q: BiquadParams, q2: BiquadParams, tol: float = 1e-8):
+def _check_two_step(q: BiquadParams, q2: BiquadParams):
     rng = random.Random("biquad-compose:" + ",".join(str(c) for c in q))
     checked = 0
     attempts = 0
@@ -267,7 +263,7 @@ def _check_two_step(q: BiquadParams, q2: BiquadParams, tol: float = 1e-8):
             for branch in range(len(solve_branches(q, x0))):
                 orbit = follow(q, x0, 2, branch=branch)
                 res = abs(s_value(q2, orbit[2], x0))
-                if res > tol * (1 + scale) * (1 + abs(x0)) ** 4:
+                if res > 1e-8 * (1 + scale) * (1 + abs(x0)) ** 4:
                     raise EliminationError(
                         f"two-step contract violated: residual {res}",
                         witnesses=(q, q2, x0))

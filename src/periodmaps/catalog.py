@@ -27,6 +27,7 @@ from .errors import (BranchSelectionError, DegenerateParameterError,
                      UnknownMapError)
 
 Point = Tuple[complex, ...]
+INVARIANT_POINTS = 20   # regular points at which a build checks invariants
 
 
 def as_point(coords: Sequence[complex]) -> Point:
@@ -198,7 +199,7 @@ def lv_cyclic_apply(x: Point):
 
 
 def _make_lv4_apply(invariants):
-    def apply_fn(p: Point, tol: float = 1e-6) -> Point:
+    def apply_fn(p: Point) -> Point:
         candidates = lv_cyclic_apply(p)
         base = [inv.eval(p) for inv in invariants]
         best = None
@@ -211,7 +212,7 @@ def _make_lv4_apply(invariants):
             drift = max(abs(v - b) / (1 + abs(b)) for v, b in zip(vals, base))
             if best_drift is None or drift < best_drift:
                 best, best_drift = img, drift
-        if best is None or best_drift > tol:
+        if best is None or best_drift > 1e-6:
             raise BranchSelectionError(
                 f"no consistency root conserves the invariants (drift {best_drift})")
         return best
@@ -520,7 +521,7 @@ def elimination_setups(target: str, period: int):
     return recorded[period]
 
 
-def _verify_invariants(m: IntegrableMap, npoints: int = 20):
+def _verify_invariants(m: IntegrableMap):
     """Build-time conservation check of every attached invariant."""
     if not m.invariants:
         return
@@ -528,7 +529,7 @@ def _verify_invariants(m: IntegrableMap, npoints: int = 20):
     rng = random.Random(f"catalog:{sig}")
     checked = 0
     attempts = 0
-    while checked < npoints and attempts < 40 * npoints:
+    while checked < INVARIANT_POINTS and attempts < 40 * INVARIANT_POINTS:
         attempts += 1
         pt = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 12))
                    for _ in range(m.d))
@@ -555,9 +556,9 @@ def _verify_invariants(m: IntegrableMap, npoints: int = 20):
                 BranchSelectionError):
             continue
         checked += 1
-    if checked < npoints:
-        raise AssertionError(
-            f"could not find {npoints} regular points to verify {m.name}")
+    if checked < INVARIANT_POINTS:
+        raise AssertionError(f"could not find {INVARIANT_POINTS} regular "
+                             f"points to verify {m.name}")
 
 
 # ---------------------------------------------------------------- operations

@@ -351,6 +351,9 @@ def main(argv=None) -> int:
         ap.error("--period must be at least 2")
     if args.command == "verify" and period is None and not args.off_variety:
         ap.error("verify needs --period unless --off-variety is given")
+    if args.command == "verify" and period is not None and args.off_variety:
+        ap.error("verify takes --period or --off-variety, not both: "
+                 "--off-variety scans periods 2-12 against every variety")
     if getattr(args, "seeds", 1) < 1:
         ap.error("--seeds must be at least 1")
     tol = getattr(args, "tol", 1.0)

@@ -17,8 +17,8 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
-                      parse_poly, poly_gcd, resultant, squarefree_part,
-                      strip_var_monomials)
+                      parse_poly, poly_content, poly_gcd, resultant,
+                      squarefree_part, strip_var_monomials)
 from .catalog import (MAPS, apply_map, catalog_get, elimination_setups,
                       transition_params)
 from .errors import (BranchSelectionError, EliminationError,
@@ -69,12 +69,9 @@ def _eliminate_once(polys: List[MPoly], v: str) -> List[MPoly]:
     if not with_v:
         raise NothingToEliminateError(f"no relation involves {v!r}")
     if len(with_v) == 1:
-        # only one constraint left in v: its coefficients with respect to
-        # v are the polynomial consequences free of v
-        coeffs = [c for c in with_v[0].as_univariate(v) if not c.is_zero()]
-        g = coeffs[0]
-        for c in coeffs[1:]:
-            g = poly_gcd(g, c)
+        # only one constraint left in v: the gcd of its coefficients with
+        # respect to v is the polynomial consequence free of v
+        g = poly_content(with_v[0], v)
         if g.total_degree() == 0:
             raise EliminationError(
                 f"single remaining relation in {v!r} has trivial content")
@@ -234,15 +231,15 @@ _FIXTURES = _load_fixtures()
 
 
 def make_transitions(map_name: str, period: int, count: int = 12,
-                     params: dict = None, base_seed: int = 0,
-                     **kw) -> List[Transition]:
+                     params: dict = None,
+                     base_seed: int = 0) -> List[Transition]:
     """True (x, X) transition samples on the (map, period) variety.
 
     Keys are the map coordinates plus their upper-case images; for
     parameterized maps the parameter values ride along so fixtures with
     parameter symbols evaluate directly.
     """
-    m = catalog_get(map_name, params=params, **kw)
+    m = catalog_get(map_name, params=params)
     g = gamma_get(map_name, period, m=m)
     out = []
     seed = base_seed
@@ -320,11 +317,10 @@ def fixtures_for(map_name: str, period: int) -> List[Fixture]:
     return out
 
 
-def default_transitions(map_name: str, period: int,
-                        count: int = 12) -> List[Transition]:
+def default_transitions(map_name: str, period: int) -> List[Transition]:
     """Transitions at the parameter values the catalog records for map_name."""
     owner, params = transition_params(map_name)
-    return make_transitions(owner, period, count=count, params=params)
+    return make_transitions(owner, period, params=params)
 
 
 def _fixture_residual(fix: Fixture, t: Transition) -> float:
@@ -343,9 +339,8 @@ def _fixture_residual(fix: Fixture, t: Transition) -> float:
     return abs(_eval_at(fix.F, t))
 
 
-def check_fixture(fixes: Sequence[Fixture], tol: float = TRANSITION_TOL,
-                  transitions: Optional[Sequence[Transition]] = None
-                  ) -> List[dict]:
+def check_fixture(fixes: Sequence[Fixture],
+                  tol: float = TRANSITION_TOL) -> List[dict]:
     """Behavioral + (where the engine covers it) symbolic verdicts of the
     fixtures of one (map, period), in order.
 
@@ -356,8 +351,7 @@ def check_fixture(fixes: Sequence[Fixture], tol: float = TRANSITION_TOL,
     a suspected transcription or source typo, never silently repaired.
     """
     map_name, period = fixes[0].map_name, fixes[0].period
-    if transitions is None:
-        transitions = default_transitions(map_name, period)
+    transitions = default_transitions(map_name, period)
     try:
         derived = derive(map_name, period, transitions=transitions, tol=tol)
     except NotRecordedError:

@@ -13,9 +13,8 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .algebra import MPoly, RatFunc, compose_parts
-from .biquad import (GAMMAS, PARAM_NAMES, BiquadParams, coerce_params,
-                     is_exact)
-from .errors import DegenerateParameterError, PoleError
+from .biquad import GAMMAS, PARAM_NAMES, BiquadParams, coerce_params
+from .errors import DegenerateParameterError
 from .recurrence import RecurrenceRelation
 
 

@@ -23,8 +23,5 @@ class RecurrenceRelation:
         if self.F.is_zero():
             raise ValueError("recurrence polynomial is identically zero")
 
-    def roots_at(self, xval: complex, tol: float = 1e-9, extra: dict = None):
-        point = {"x": complex(xval)}
-        if extra:
-            point.update(extra)
-        return roots_of_poly(self.F, "X", point, tol=tol)
+    def roots_at(self, xval: complex, tol: float = 1e-9):
+        return roots_of_poly(self.F, "X", {"x": complex(xval)}, tol=tol)

@@ -97,7 +97,7 @@ def _subs_params(text: str, symbols, params: dict) -> MPoly:
 
 def gamma_get(map_name: str, period: int,
               m: Optional[IntegrableMap] = None,
-              params: dict = None, **kw) -> VarietyGenerator:
+              params: dict = None) -> VarietyGenerator:
     """Variety generator for (map_name, period), parameters substituted;
     one per (map, period)."""
     entry = _CATALOG.get(map_name)
@@ -105,7 +105,7 @@ def gamma_get(map_name: str, period: int,
         raise UnknownVarietyError(f"no variety for ({map_name}, {period})",
                                   available=available_periods(map_name))
     if m is None:
-        m = catalog_get(map_name, params=params, **kw)
+        m = catalog_get(map_name, params=params)
     elif m.name != map_name:
         raise UnknownVarietyError(
             f"map {m.name!r} does not own the {map_name!r} varieties")
@@ -198,30 +198,28 @@ def _polish_root(coeffs, z: complex) -> complex:
             p = p * w + c
         return p, dp
 
-    best = z
-    best_res = abs(val_der(z)[0])
+    p, dp = val_der(z)
+    best, best_res = z, abs(p)
     for _ in range(16):
-        p, dp = val_der(z)
         if dp == 0:
             break
         z2 = z - p / dp
-        res2 = abs(val_der(z2)[0])
-        if res2 < best_res:
-            best, best_res = z2, res2
+        p, dp = val_der(z2)
+        if abs(p) < best_res:
+            best, best_res = z2, abs(p)
         if abs(z2 - z) <= 1e-15 * (1 + abs(z2)):
-            z = z2
             break
         z = z2
     return best
 
 
-def _first_member(g: VarietyGenerator, points, tol: float):
+def _first_member(g: VarietyGenerator, points):
     """The first candidate on the variety with no coordinate below 1e-6."""
     for full in points:
         if any(abs(c) < 1e-6 for c in full):
             continue
         try:
-            ok, _ = membership(g, full, tol=tol)
+            ok, _ = membership(g, full)
         except PoleError:
             continue
         if ok:
@@ -229,8 +227,7 @@ def _first_member(g: VarietyGenerator, points, tol: float):
     return None
 
 
-def _solve_last(g: VarietyGenerator, num: MPoly, drawn, last: str,
-                tol: float):
+def _solve_last(g: VarietyGenerator, num: MPoly, drawn, last: str):
     point = dict(zip(g.owner.varnames[:-1], drawn))
     try:
         coeffs = coefficient_values(num, last, point)
@@ -238,21 +235,20 @@ def _solve_last(g: VarietyGenerator, num: MPoly, drawn, last: str,
     except (RootFindingError, ValueError):
         return None
     cands = sorted((_polish_root(coeffs, r) for r in cands), key=root_sort_key)
-    return _first_member(g, (drawn + (r,) for r in cands), tol)
+    return _first_member(g, (drawn + (r,) for r in cands))
 
 
-def _solve_toda(g: VarietyGenerator, t2sub: MPoly, drawn, tol: float):
+def _solve_toda(g: VarietyGenerator, t2sub: MPoly, drawn):
     point = dict(zip(("x", "y", "z", "u"), drawn))
     try:
         cands = roots_of_poly(t2sub, "v", point, tol=1e-8)
     except (RootFindingError, ValueError):
         return None
     return _first_member(g, (drawn + (v, -(sum(drawn) + v))
-                             for v in sorted(cands, key=root_sort_key)), tol)
+                             for v in sorted(cands, key=root_sort_key)))
 
 
-def sample_on_variety(g: VarietyGenerator, seed: int,
-                      tol: float = MEMBER_TOL):
+def sample_on_variety(g: VarietyGenerator, seed: int):
     """Seeded point on the variety; deterministic in (generator, seed).
 
     All but l coordinates are drawn from a rational grid in the complex
@@ -266,7 +262,7 @@ def sample_on_variety(g: VarietyGenerator, seed: int,
     if g.map_name == "toda3":
         # t1 = 0 fixes w linearly; t2 = 0 is then quadratic in v
         t2sub = g.toda_quadratic()
-        solve = lambda drawn: _solve_toda(g, t2sub, drawn, tol)
+        solve = lambda drawn: _solve_toda(g, t2sub, drawn)
     else:
         if g.l != 1:
             raise SamplingError(f"no sequential solve path for {g.map_name} "
@@ -276,7 +272,7 @@ def sample_on_variety(g: VarietyGenerator, seed: int,
         if num.degree(last) == 0:
             raise SamplingError(
                 f"generator does not involve the solve coordinate {last!r}")
-        solve = lambda drawn: _solve_last(g, num, drawn, last, tol)
+        solve = lambda drawn: _solve_last(g, num, drawn, last)
     for _ in range(32):
         # one coordinate per generator is solved for, the others drawn
         got = solve(tuple(_draw_coord(rng) for _ in range(len(names) - g.l)))

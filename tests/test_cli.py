@@ -180,6 +180,8 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--map", "lv3"], "--period"),
+    (["verify", "--map", "lv3", "--off-variety", "--period", "3", "--seeds",
+      "2"], "--period or --off-variety, not both"),
     (["verify", "--map", "lv3", "--period", "3", "--seeds", "-5"], "--seeds"),
     (["verify", "--map", "lv3", "--period", "3", "--seeds", "0"], "--seeds"),
     (["verify", "--map", "lv3", "--period", "3", "--tol", "-1"], "--tol"),
@@ -210,8 +212,8 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
       "9"], "unrecognized arguments: --seeds 5 --seed 9"),
     (["eliminate", "--map", "lv4", "--period", "2", "--seeds", "3", "--seed",
       "4"], "unrecognized arguments: --seeds 3 --seed 4"),
-], ids=["verify-without-period", "negative-seeds", "zero-seeds",
-        "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
+], ids=["verify-without-period", "off-variety-with-period", "negative-seeds",
+        "zero-seeds", "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
         "negative-steps", "foreign-parameter", "eliminate-foreign-parameter",
         "eliminate-euler", "eliminate-qrt", "eliminate-example-period",
         "eliminate-moebius2d-period", "fixtures-unrecorded-period",

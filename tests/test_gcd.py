@@ -7,7 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from periodmaps.algebra import (
-    MPoly, divides, exact_divide, parse_poly, poly_gcd, squarefree_part)
+    MPoly, divides, equal_up_to_scale, exact_divide, parse_poly, poly_gcd,
+    squarefree_part)
 
 VARS = ("x", "y")
 
@@ -81,6 +82,13 @@ def test_squarefree_collapses_multiplicity():
     assert sf.degree("x") == expect.degree("x")
 
 
+def test_squarefree_drops_the_content_in_its_variable():
+    x, y, X = MPoly.var("x"), MPoly.var("y"), MPoly.var("X")
+    p = (x * y + 1) ** 2 * (X * X - x) * (X - y) ** 3
+    sf = squarefree_part(p, "X")
+    assert equal_up_to_scale(sf, (X * X - x) * (X - y))
+
+
 def test_squarefree_of_squarefree_is_itself():
     x = MPoly.var("x")
     p = x ** 3 + x + 1
@@ -119,3 +127,32 @@ def test_bulk_gcd_cofactors_are_coprime():
         a = exact_divide(p, g)
         b = exact_divide(q, g)
         assert poly_gcd(a, b).total_degree() == 0
+
+
+def _random_trivariate(rng, max_terms=3):
+    terms = {tuple(rng.randint(0, 2) for _ in range(3)):
+             Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(rng.randint(1, max_terms))}
+    return MPoly(("x", "y", "z"), terms)
+
+
+def test_bulk_trivariate_gcd_matches_sympy():
+    """Seeded gcds with a planted common factor in three variables; sympy
+    may order the variables differently, so compare up to scale."""
+    rng = random.Random("gcd-trivariate")
+    checked = 0
+    while checked < 60:
+        g, p, q = (_random_trivariate(rng) for _ in range(3))
+        if g.is_zero() or p.is_zero() or q.is_zero():
+            continue
+        ours = poly_gcd(g * p, g * q)
+        theirs = sympy.Poly(
+            sympy.gcd(sympy.sympify(str(g * p).replace("^", "**")),
+                      sympy.sympify(str(g * q).replace("^", "**"))),
+            *sympy.symbols("x y z"))
+        theirs_p = MPoly(("x", "y", "z"),
+                         {e: Fraction(int(c.p), int(c.q))
+                          for e, c in theirs.as_dict().items()})
+        assert equal_up_to_scale(ours, theirs_p)
+        assert ours.content() == 1
+        checked += 1
