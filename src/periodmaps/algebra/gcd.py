@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 from .poly import MPoly, exact_divide
+
+# integer points squarefree_part tries before it falls back to the gcd
+CERTIFY_POINTS = 5
+POINT_BOUND = 97
 
 
 def poly_content(p: MPoly, var: str) -> MPoly:
-    """Primitive gcd of the coefficients of p viewed in var, or 1."""
-    coeffs = [c for c in p.as_univariate(var) if not c.is_zero()]
+    """Primitive gcd of the coefficients of p viewed in var, or 1.
+
+    The coefficients are folded smallest first (by term count), so the
+    running gcd shrinks before it meets the large ones.
+    """
+    coeffs = sorted((c for c in p.as_univariate(var) if not c.is_zero()),
+                    key=lambda c: len(c.terms))
     g = coeffs[0]
     for c in coeffs[1:]:
         g = poly_gcd(g, c)
@@ -64,12 +75,48 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
     return c.primitive()
 
 
+def _points(others: tuple):
+    """Deterministic integer points for the variables others, each
+    coordinate in [-POINT_BOUND, POINT_BOUND]."""
+    rng = random.Random("squarefree")
+    for _ in range(CERTIFY_POINTS):
+        yield {v: rng.randint(-POINT_BOUND, POINT_BOUND) for v in others}
+
+
+def _certified_squarefree(prim: MPoly, var: str) -> bool:
+    """True if some integer specialisation of the variables other than
+    var keeps prim's degree in var and is squarefree over Q.
+
+    That is a proof that prim has no repeated factor of positive degree
+    in var: such a factor keeps its degree wherever prim's leading
+    coefficient does not vanish, so it would repeat in the
+    specialisation.  False proves nothing.
+    """
+    others = tuple(v for v in prim.used_vars() if v != var)
+    if not others:
+        return False            # the gcd below is the univariate check
+    d = prim.degree(var)
+    for point in _points(others):
+        u = prim.subs_values(point)
+        if u.degree(var) == d and \
+                poly_gcd(u, u.derivative(var)).total_degree() == 0:
+            return True
+    return False
+
+
 def squarefree_part(p: MPoly, var: str) -> MPoly:
     """p with repeated factors (in var) collapsed to multiplicity one and
-    its content in var divided out: the gcd with the derivative holds both."""
+    its content in var divided out.
+
+    The content is split off first; the primitive part is returned as it
+    is when an integer specialisation certifies it squarefree, and is
+    divided by its gcd with its derivative otherwise.  Since
+    gcd(C*f, C*f') = C*gcd(f, f') for C free of var, this is, up to a
+    constant factor, p divided by gcd(p, dp/dvar).
+    """
     if p.degree(var) == 0:
         return p
-    g = poly_gcd(p, p.derivative(var))
-    if g.total_degree() == 0:
-        return p
-    return exact_divide(p, g)
+    prim = exact_divide(p, poly_content(p, var))
+    if _certified_squarefree(prim, var):
+        return prim
+    return exact_divide(prim, poly_gcd(prim, prim.derivative(var)))

@@ -52,7 +52,7 @@ class MPoly:
     (one entry per variable) to nonzero Fraction coefficients.
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_plan", "_coeffs")
+    __slots__ = ("vars", "terms", "_hash", "_plan", "_exact_plan", "_coeffs")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar]):
         vs = tuple(variables)
@@ -71,6 +71,7 @@ class MPoly:
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
         self._plan = None
+        self._exact_plan = None
         self._coeffs = None
 
     # -- constructors -------------------------------------------------
@@ -89,6 +90,7 @@ class MPoly:
         p.terms = terms
         p._hash = None
         p._plan = None
+        p._exact_plan = None
         p._coeffs = None
         return p
 
@@ -395,17 +397,26 @@ class MPoly:
         complex(c), which is how a Fraction enters complex arithmetic, so
         the value is the one a walk over the Fraction terms would give.
         """
+        return self.eval_values([complex(c) for c in point[:len(self.vars)]])
+
+    def eval_values(self, values: Sequence[complex]) -> complex:
+        """eval at a point already converted: values are the complex
+        coordinates of the point's first len(self.vars) entries, so
+        polynomials over the same variables can share one conversion."""
         if self._plan is None:
             self._plan = self._compile(complex)
         need, plan = self._plan
-        if len(point) < need:
-            raise _arity_error(point, need)
         # the plan reads only the first ``need`` values
-        values = [complex(c) for c in point[:len(self.vars)]]
+        if len(values) < need:
+            raise _arity_error(values, need)
         return check_finite(_horner(plan, values))
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        need, plan = self._compile(_as_fraction)
+        """Exact value at a rational point; like eval, the Fraction plan
+        is compiled on first use and kept."""
+        if self._exact_plan is None:
+            self._exact_plan = self._compile(_as_fraction)
+        need, plan = self._exact_plan
         if len(point) < need:
             raise _arity_error(point, need)
         values = [_as_fraction(c) for c in point[:len(self.vars)]]

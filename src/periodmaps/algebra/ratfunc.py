@@ -121,8 +121,10 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def eval(self, point: Sequence[complex]) -> complex:
-        nv = self.num.eval(point)
-        dv = self.den.eval(point)
+        # num and den share their variables, so one conversion serves both
+        values = [complex(c) for c in point[:len(self.num.vars)]]
+        nv = self.num.eval_values(values)
+        dv = self.den.eval_values(values)
         if abs(dv) <= POLE_REL * (1 + abs(nv)):
             raise PoleError("denominator vanishes at evaluation point")
         return nv / dv
@@ -144,10 +146,12 @@ class RatFunc:
 
 
 def compose_parts(p: MPoly,
-                  substitutions: Mapping[str, Union[MPoly, RatFunc]]):
+                  substitutions: Mapping[str, Union[MPoly, RatFunc, tuple]]):
     """(numerator, denominator) of p with each variable v of substitutions
-    replaced by its value num_v/den_v (den_v = 1 for an MPoly value) and
-    the denominators cleared to den_v^deg_v(p); no gcd is taken.
+    replaced by its value num_v/den_v (den_v = 1 for an MPoly value; a
+    (num_v, den_v) pair is taken as given, without a RatFunc's gcd and
+    sign normalisation) and the denominators cleared to den_v^deg_v(p);
+    no gcd is taken.
 
     Each num_v^e * den_v^(deg_v - e) is built once per call and multiplies
     the sum of all terms of p that share its power (Horner-like, variable
@@ -155,7 +159,8 @@ def compose_parts(p: MPoly,
     one replaced in place by those of its value.
     """
     used = p.used_vars()
-    parts = {v: (r, None) if isinstance(r, MPoly) else (r.num, r.den)
+    parts = {v: (r, None) if isinstance(r, MPoly)
+             else (r.num, r.den) if isinstance(r, RatFunc) else r
              for v, r in substitutions.items() if v in used}
     order = tuple(dict.fromkeys(
         w for v in used for w in (parts[v][0].vars if v in parts else (v,))))

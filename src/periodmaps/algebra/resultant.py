@@ -6,6 +6,7 @@ from typing import List
 
 from ..errors import NothingToEliminateError
 from .poly import MPoly, exact_divide
+from .ratfunc import compose_parts
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, var: str) -> List[List[MPoly]]:
@@ -60,6 +61,15 @@ def det_bareiss(matrix: List[List[MPoly]]) -> MPoly:
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Res(p, q, var): Sylvester determinant, p-rows first.
 
-    Vanishes whenever p and q share a root in var; exact arithmetic throughout.
+    Vanishes whenever p and q share a root in var; exact arithmetic
+    throughout.  For p = a*var + b the determinant is
+    sum_k q_k (-b)^k a^(n-k), q with var = -b/a and the denominators
+    cleared, so it is taken by substitution; in the variable tuple
+    Bareiss would give, the aligned one of (p, q) without var.
     """
+    if p.degree(var) == 1 and q.degree(var):
+        b, a = p.as_univariate(var)
+        num, _ = compose_parts(q, {var: (-b, a)})
+        aligned = MPoly.align(p, q)[0].vars
+        return num.with_vars(tuple(v for v in aligned if v != var))
     return det_bareiss(sylvester_matrix(p, q, var))

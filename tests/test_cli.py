@@ -266,16 +266,23 @@ def test_fixtures_derives_once_per_map_and_period(capsys, monkeypatch):
     assert calls == {"derive": 1, "make_transitions": 1}
 
 
-def test_eliminate_without_fixtures_reports_what_it_derives(capsys,
-                                                            monkeypatch):
-    # lv3 p4 has an elimination setup but no recorded fixture; the real
-    # elimination takes minutes, so derive is stubbed
-    from periodmaps import cli
-    from periodmaps.algebra import MPoly
-    monkeypatch.setattr(cli, "derive", lambda *a, **kw: [MPoly.var("X")])
+# sha256 of the F strings of `eliminate --map lv3 --period 4`, joined by
+# newlines, as the Sylvester-Bareiss resultants and the gcd-based
+# squarefree step gave them
+LV3_P4_F_SHA256 = (
+    "bd5135250a8167f626f0b3c1ba6d36ed3b8a5502af46460799cab6e6360fb11f")
+
+
+def test_eliminate_without_fixtures_reports_what_it_derives(capsys):
+    # lv3 p4 has an elimination setup but no recorded fixture
+    import hashlib
     code, out, _ = _run(capsys, "eliminate", "--map", "lv3", "--period", "4")
     assert code == EXIT_OK
-    assert json.loads(out)["verdicts"] == [{"F": "X", "pass": True}]
+    verdicts = json.loads(out)["verdicts"]
+    assert [sorted(v) for v in verdicts] == [["F", "pass"]] * 2
+    assert all(v["pass"] for v in verdicts)
+    text = "\n".join(v["F"] for v in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest() == LV3_P4_F_SHA256
 
 
 def test_fixtures_fail_when_a_recorded_elimination_breaks(capsys,

@@ -156,3 +156,117 @@ def test_bulk_trivariate_gcd_matches_sympy():
         assert equal_up_to_scale(ours, theirs_p)
         assert ours.content() == 1
         checked += 1
+
+
+def _squarefree_by_gcd(p, var):
+    """squarefree_part as it was before the content split and the
+    certificate: p divided by its gcd with the derivative."""
+    if p.degree(var) == 0:
+        return p
+    g = poly_gcd(p, p.derivative(var))
+    if g.total_degree() == 0:
+        return p
+    return exact_divide(p, g)
+
+
+def _random_factor(rng, dX):
+    terms = {(rng.randint(0, dX), rng.randint(0, 1), rng.randint(0, 1)):
+             Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+             for _ in range(rng.randint(1, 3))}
+    return MPoly(("X", "x", "y"), terms)
+
+
+def test_squarefree_matches_the_gcd_route_on_planted_powers():
+    """c * f * g^2 * h^3 with c free of X (and g or h sometimes too): the
+    content split gives the old route's polynomial in the same variable
+    tuple.  Where the certificate holds it is the same polynomial; where
+    the gcd fallback runs it may differ by the factor -1, because the old
+    route's sign came from the variable order inside poly_gcd's
+    recursion on the whole of p."""
+    rng = random.Random("squarefree-planted")
+    outcomes = set()
+    checked = 0
+    while checked < 80:
+        c = _random_factor(rng, 0)
+        f, g, h = (_random_factor(rng, rng.randint(0, 1)) for _ in range(3))
+        p = c * f * g * g * h ** 3
+        if p.degree("X") == 0:
+            continue
+        got, want = squarefree_part(p, "X"), _squarefree_by_gcd(p, "X")
+        assert got.vars == want.vars
+        certified = g.degree("X") == h.degree("X") == 0 and \
+            poly_gcd(f, f.derivative("X")).total_degree() == 0
+        if certified:
+            assert got.terms == want.terms
+        else:
+            assert got.terms in (want.terms, (-want).terms)
+        outcomes.add(certified)
+        checked += 1
+    assert outcomes == {True, False}
+
+
+def _lv3_p4_y_primitive():
+    """The primitive part of lv3 period 4's Y resultant, the polynomial
+    the Y problem hands to squarefree_part."""
+    from periodmaps import elim
+    from periodmaps.algebra import poly_content, strip_var_monomials
+    prob = elim.standard_problems("lv3", 4)[1]
+    assert prob.eliminate == ("z",) and "Y" in prob.keep
+    polys = [p.with_vars(tuple(sorted(set(p.used_vars())
+             | set(prob.eliminate) | set(prob.keep))))
+             for p in prob.relations]
+    (R,) = elim._eliminate_once(polys, "z")
+    R = strip_var_monomials(R)
+    return exact_divide(R, poly_content(R, "Y"))
+
+
+def _first_point(monkeypatch, first):
+    """Make squarefree_part's first point first; the rest stay its own,
+    so it tries as many points as before.  Returns the points tried."""
+    from periodmaps.algebra import gcd
+    tried = []
+    points = gcd._points
+
+    def patched(others):
+        for k, point in enumerate(points(others)):
+            point = first if k == 0 else point
+            tried.append(point)
+            yield point
+    monkeypatch.setattr(gcd, "_points", patched)
+    return tried
+
+
+def test_an_unlucky_point_is_followed_by_another(monkeypatch):
+    """At x = 1 lv3 p4's Y resultant picks up (Y - 1)^2, though it is
+    squarefree: a failed specialisation proves nothing, so the next point
+    must certify it and the multivariate gcd must not run."""
+    from periodmaps.algebra import gcd
+    prim = _lv3_p4_y_primitive()
+    unlucky = {"x": 1, "y": 5}
+    u = prim.subs_values(unlucky)
+    assert u.degree("Y") == prim.degree("Y")
+    assert poly_gcd(u, u.derivative("Y")) == parse_poly("Y^2 - 2*Y + 1",
+                                                        ("Y",))
+    tried = _first_point(monkeypatch, unlucky)
+    fallback = []
+    poly_gcd_ = gcd.poly_gcd
+
+    def counting(p, q):
+        if len(p.used_vars()) > 1 and p.degree("Y"):
+            fallback.append(p)
+        return poly_gcd_(p, q)
+    monkeypatch.setattr(gcd, "poly_gcd", counting)
+    assert squarefree_part(prim, "Y") == prim
+    assert tried[0] == unlucky and len(tried) == 2
+    assert fallback == []
+
+
+def test_a_point_that_drops_the_degree_certifies_nothing(monkeypatch):
+    """At x = 0 the square (x*X + 1)^2 specialises to the constant 1,
+    whose gcd with its derivative is 1: the point must be skipped."""
+    x, X = MPoly.var("x"), MPoly.var("X")
+    p = (x * X + 1) ** 2
+    tried = _first_point(monkeypatch, {"x": 0})
+    assert squarefree_part(p, "X") == _squarefree_by_gcd(p, "X")
+    assert squarefree_part(p, "X").degree("X") == 1
+    assert tried[0] == {"x": 0} and len(tried) > 1

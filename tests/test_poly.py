@@ -360,6 +360,37 @@ def test_a_second_eval_reuses_the_compiled_plan(monkeypatch):
     assert p.eval([1 + 2j, -0.5j, 0.25]) == first
     p.eval([2, 3, 4])
     assert len(calls) == 1
+    point = [Fraction(1, 2), Fraction(-3), Fraction(2, 5)]
+    exact = p.eval_exact(point)
+    assert exact == Fraction(3, 7) * Fraction(1, 8) * -3 - Fraction(
+        1, 2) * Fraction(4, 25) + 5
+    assert p.eval_exact(point) == exact
+    p.eval_exact([1, 2, 3])
+    assert len(calls) == 2
+
+
+def test_rational_function_eval_converts_the_point_once(monkeypatch):
+    """RatFunc.eval gives num.eval / den.eval bit for bit, and the same
+    errors, from one conversion of the point shared by both halves."""
+    from periodmaps.algebra import RatFunc
+    from periodmaps.errors import PoleError
+    r = RatFunc(parse_poly("3/7*x^3*y - x*z^2 + 5", ("x", "y", "z")),
+                parse_poly("x*y - 2", ("x", "y", "z")))
+    points = [[1 + 2j, -0.5j, 0.25], [0.3, 7, -1.5 + 1e-3j], (2, 3, 4, 9)]
+    want = [r.num.eval(pt) / r.den.eval(pt) for pt in points]
+
+    def unused(self, point):
+        raise AssertionError("RatFunc.eval converted the point per half")
+    monkeypatch.setattr(MPoly, "eval", unused)
+    for pt, w in zip(points, want):
+        got = r.eval(pt)
+        assert (got.real.hex(), got.imag.hex()) == (w.real.hex(),
+                                                    w.imag.hex())
+    with pytest.raises(PoleError):
+        r.eval([1, 2, 0])
+    with pytest.raises(ArityError, match="point of length 1 for polynomial "
+                                         "using 3 variables"):
+        r.eval([1j])
 
 
 def test_a_short_point_is_rejected_on_every_call():

@@ -102,3 +102,97 @@ def test_det_bareiss_singular_matrix_is_zero():
     x = MPoly.var("x")
     rows = [[x, x + 1], [2 * x, 2 * x + 2]]
     assert det_bareiss(rows).is_zero()
+
+
+def _assert_same_polynomial(ours, theirs):
+    """Equal variable tuples and terms, hence the same printed term order."""
+    assert ours.vars == theirs.vars
+    assert ours.terms == theirs.terms
+    assert str(ours) == str(theirs)
+
+
+def _recorded_resultants(monkeypatch, pairs):
+    """(pivot, other, var, result) of every resultant the recorded
+    elimination setups of pairs make, factor filtering left out."""
+    from periodmaps import elim
+    calls = []
+    original = elim.resultant
+
+    def recording(p, q, var):
+        r = original(p, q, var)
+        calls.append((p, q, var, r))
+        return r
+    monkeypatch.setattr(elim, "resultant", recording)
+    monkeypatch.setattr(elim, "_filter_factors", lambda p, *args: p)
+    for name, period in pairs:
+        for prob in elim.standard_problems(name, period):
+            elim.eliminate(prob)
+    return calls
+
+
+def _setups():
+    from periodmaps.catalog import MAPS
+    return [(name, period) for spec in MAPS.values()
+            for name, periods in spec.eliminations.items()
+            for period in periods]
+
+
+def test_linear_pivot_resultant_equals_bareiss_on_recorded_setups(
+        monkeypatch):
+    """Every recorded setup pivots on a polynomial of degree 1; the
+    substitution gives Bareiss's polynomial in Bareiss's variable tuple.
+    lv3 p5 is checked separately: its Bareiss determinants take 30 s."""
+    pairs = [pair for pair in _setups() if pair != ("lv3", 5)]
+    calls = _recorded_resultants(monkeypatch, pairs)
+    assert len(calls) == 29
+    for p, q, var, r in calls:
+        assert p.degree(var) == 1
+        _assert_same_polynomial(r, det_bareiss(sylvester_matrix(p, q, var)))
+
+
+def test_lv3_p5_resultants_agree_with_bareiss_at_integer_points(
+        monkeypatch):
+    """A determinant commutes with specialising its entries, so the
+    substitution resultant at a point equals the Sylvester determinant of
+    the specialised coefficients."""
+    calls = _recorded_resultants(monkeypatch, [("lv3", 5)])
+    assert len(calls) == 2
+    rng = random.Random("res-lv3-p5")
+    for p, q, var, r in calls:
+        p, q = MPoly.align(p, q)
+        assert r.vars == tuple(v for v in p.vars if v != var)
+        for _ in range(3):
+            point = [Fraction(rng.randint(-9, 9)) for _ in r.vars]
+            rows = [[MPoly.const(c.with_vars(r.vars).eval_exact(point))
+                     for c in row]
+                    for row in sylvester_matrix(p, q, var)]
+            assert MPoly.const(r.eval_exact(point)) == det_bareiss(rows)
+
+
+def _random_poly(rng, variables, dmax=2, terms=4):
+    out = {tuple(rng.randint(0, dmax) for _ in variables):
+           Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+           for _ in range(rng.randint(1, terms))}
+    return MPoly(variables, out)
+
+
+def test_linear_pivot_resultant_equals_bareiss_seeded():
+    """Pivots a*v + b whose a is non-constant or has a negative leading
+    coefficient, against partners over another variable order."""
+    rng = random.Random("res-linear-pivot")
+    checked = 0
+    while checked < 150:
+        a = _random_poly(rng, ("y", "z"))
+        b = _random_poly(rng, ("z", "y"))
+        if a.is_zero() or (a.total_degree() == 0 and a.leading_coeff() > 0):
+            continue
+        v = MPoly.var("v", ("v", "z", "y"))
+        pivot = v * a + b
+        other = _random_poly(rng, ("z", "v", "w"), dmax=3)
+        if other.degree("v") == 0:
+            continue
+        for p, q in ((pivot, other), (pivot, other * pivot + 1)):
+            _assert_same_polynomial(
+                resultant(p, q, "v"),
+                det_bareiss(sylvester_matrix(p, q, "v")))
+        checked += 1
