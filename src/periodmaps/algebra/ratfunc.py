@@ -24,7 +24,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, den: MPoly = None, reduce: bool = True):
+    def __init__(self, num: MPoly, den: MPoly = None):
         if den is None:
             den = MPoly.const(1)
         if den.is_zero():
@@ -34,11 +34,10 @@ class RatFunc:
             self.den = MPoly.const(1)
             return
         num, den = MPoly.align(num, den)
-        if reduce:
-            g = poly_gcd(num, den)
-            if g.total_degree() > 0:
-                num = exact_divide(num, g)
-                den = exact_divide(den, g)
+        g = poly_gcd(num, den)
+        if g.total_degree() > 0:
+            num = exact_divide(num, g)
+            den = exact_divide(den, g)
         cd = den.content()
         scale = 1 / cd
         if den.leading_coeff() < 0:
@@ -88,7 +87,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        # already reduced and normalised: only the numerator's sign moves
+        r = RatFunc.__new__(RatFunc)
+        r.num, r.den = -self.num, self.den
+        return r
 
     def __sub__(self, other):
         return self + (-RatFunc.of(other))
@@ -156,14 +158,16 @@ def compose_parts(p: MPoly,
     Each num_v^e * den_v^(deg_v - e) is built once per call and multiplies
     the sum of all terms of p that share its power (Horner-like, variable
     by variable).  Both results have the variables p uses, each substituted
-    one replaced in place by those of its value.
+    one replaced in place by those of its value: num_v's, then those of
+    den_v that num_v lacks.
     """
     used = p.used_vars()
     parts = {v: (r, None) if isinstance(r, MPoly)
              else (r.num, r.den) if isinstance(r, RatFunc) else r
              for v, r in substitutions.items() if v in used}
     order = tuple(dict.fromkeys(
-        w for v in used for w in (parts[v][0].vars if v in parts else (v,))))
+        w for v in used for part in parts.get(v, (MPoly.var(v), None))
+        if part is not None for w in part.vars))
     den = MPoly.const(1, order)
     factors = []        # (position in p.vars, exponent -> factor)
     for v in used:

@@ -391,8 +391,6 @@ def _build_qrt(name, params):
     qp, qpp = params["qp"], params["qpp"]
     names = ("x", "y")
     comp_y = qrt_component_y(qp, qpp).with_vars(names)
-    if comp_y.den.is_zero():
-        raise DegenerateParameterError("QRT map denominator is identically zero")
     comps = (_rf(MPoly.var("y"), vars=names), comp_y)
     H = qrt_invariant_ratfunc(qp, qpp).with_vars(names)
     return IntegrableMap(name, names, params, comps, (H,), ("h",))

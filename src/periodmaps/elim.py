@@ -17,8 +17,8 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
-                      parse_poly, poly_content, poly_gcd, resultant,
-                      squarefree_part, strip_var_monomials)
+                      parse_poly, poly_content, resultant, squarefree_part,
+                      strip_var_monomials)
 from .catalog import (MAPS, apply_map, catalog_get, elimination_setups,
                       transition_params)
 from .errors import (BranchSelectionError, EliminationError,
@@ -101,24 +101,30 @@ def _rational_sqrt(c: Fraction) -> Optional[Fraction]:
 
 
 def _poly_sqrt(p: MPoly) -> Optional[MPoly]:
-    """q with q^2 == p, or None if p is not a perfect square."""
+    """q with q^2 == p, or None if p is not a perfect square.
+
+    The root is read off term by term in graded lex order: q starts as the
+    square root of p's leading term, then takes LT(p - q^2) / (2 LT(q))
+    until p - q^2 is zero.  Each step cancels the remainder's leading term,
+    so the remainder falls until it is zero or a division is inexact.
+    """
     if p.is_zero():
         return p
-    if p.total_degree() == 0:
-        r = _rational_sqrt(p.constant_term())
-        return None if r is None else MPoly.const(r)
-    v = next(v for v in p.used_vars() if p.degree(v))
-    g = poly_gcd(p, p.derivative(v))
-    sq = g * g
-    if sq.is_zero():
+    exps, c = p.leading()
+    r = _rational_sqrt(c)
+    if r is None or any(e % 2 for e in exps):
         return None
-    p_a, sq_a = MPoly.align(p, sq)
-    lp, ls = p_a.leading_coeff(), sq_a.leading_coeff()
-    scale = lp / ls
-    if sq_a * scale != p_a:
-        return None
-    r = _rational_sqrt(scale)
-    return None if r is None else g * r
+    q = MPoly(p.vars, {tuple(e // 2 for e in exps): r})
+    twice_lt = 2 * q
+    rem = p - q * q
+    while not rem.is_zero():
+        try:
+            t = exact_divide(MPoly(rem.vars, dict([rem.leading()])), twice_lt)
+        except InexactDivisionError:
+            return None
+        rem = rem - t * (2 * q + t)
+        q = q + t
+    return q
 
 
 def _split_quadratic(p: MPoly, main: str):

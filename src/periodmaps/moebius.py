@@ -5,10 +5,11 @@ matrix M = [[h, h*a], [b, 1]].  Composing steps keeps the Moebius shape
 and only moves the parameter triple: ``param_step`` is the product
 P <- M*P on P = [[p, q], [r, s]], read back as a_n = q/p, b_n = r/s and
 h_n = p/s.  A point (a, b, h) has period n when M^n is a multiple of the
-identity, that is when M^(n+1) returns to the one-step triple; the three
-return conditions have the numerators q - a*p, r - b*s and p - h*s of
-M^(n+1) in Z[a, b, h].  Their common factor, with the fixed-point and
-lower-period factors divided out, generates the period-n variety.
+identity.  By Cayley-Hamilton M^n = alpha_n*M - det*alpha_(n-1)*I, with
+alpha_(k+1) = tr*alpha_k - det*alpha_(k-1), alpha_0 = 0, alpha_1 = 1,
+tr = h + 1 and det = h(1 - ab); M itself is not scalar, so the period-n
+condition is alpha_n = 0.  alpha_n with the generators of the proper
+divisors d | n divided out generates the period-n variety.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (MPoly, RatFunc, compose_parts, exact_divide, normalize,
-                      poly_gcd, strip_var_monomials)
-from .errors import (DegenerateFamilyError, DegenerateParameterError,
-                     InexactDivisionError)
+from .algebra import MPoly, RatFunc, compose_parts, exact_divide, normalize
+from .errors import DegenerateFamilyError, DegenerateParameterError
 from .recurrence import RecurrenceRelation
 
 _ABH = ("a", "b", "h")
+# the generators' variable tuple; the relations and recurrences built from
+# them print their monomials in its order
+_HBA = ("h", "b", "a")
 
 
 @dataclass(frozen=True)
@@ -78,61 +80,35 @@ def step_matrix_power(k: int):
     return (p, q), (r, s)
 
 
-def _condition_numerators(n: int):
-    """Numerators of the three period-n return conditions, symbolically.
-
-    n parameter steps from the one-step triple give P = M^(n+1); the
-    conditions a_n = a, b_n = b, h_n = h are q = a*p, r = b*s, p = h*s.
+def power_coefficients(n: int):
+    """(alpha_(n-1), alpha_n) with M^n = alpha_n*M - det*alpha_(n-1)*I,
+    over Z[h, b, a]; alpha_0 = 0, alpha_1 = 1 and
+    alpha_(k+1) = tr*alpha_k - det*alpha_(k-1), tr = h + 1, det = h(1 - ab).
     """
-    (p, q), (r, s) = step_matrix_power(n + 1)
-    a, b, h = (MPoly.var(v, _ABH) for v in _ABH)
-    return [q - a * p, r - b * s, p - h * s]
-
-
-@lru_cache(maxsize=None)
-def _raw_common_factor(n: int) -> MPoly:
-    na, nb, nh = _condition_numerators(n)
-    g = poly_gcd(poly_gcd(na, nb), nh)
-    g = strip_var_monomials(g)
-    if g.total_degree() == 0:
-        raise DegenerateFamilyError(
-            f"period-{n} conditions share no polynomial factor",
-            )
-    return g
+    h, b, a = (MPoly.var(v, _HBA) for v in _HBA)
+    tr, det = h + 1, h * (1 - a * b)
+    prev, alpha = MPoly.zero(_HBA), MPoly.const(1, _HBA)
+    for _ in range(n - 1):
+        prev, alpha = alpha, tr * alpha - det * prev
+    return prev, alpha
 
 
 @lru_cache(maxsize=None)
 def derive_gamma(n: int) -> MPoly:
-    """Generator of the period-n parameter variety, in (a, b, h).
+    """Generator of the period-n parameter variety, in (h, b, a).
 
-    The gcd of the return-condition numerators of the matrix power
-    M^(n+1), M = [[h, h*a], [b, 1]], with monomial factors, the
-    fixed-point factor and every lower-period generator gamma_d (d | n)
-    divided out.  Normalized to integer coefficients with content 1 and
-    positive constant term.
+    alpha_n of ``power_coefficients``, which vanishes exactly where M^n is
+    a multiple of the identity, with the generator gamma_d of every proper
+    divisor 1 < d < n of n divided out (alpha_n is the product of the
+    gamma_d, d | n, d > 1).  Normalized to integer coefficients with
+    content 1 and positive constant term.
     """
     if not 2 <= n <= 8:
         raise ValueError("supported periods are 2..8")
-    g = _raw_common_factor(n)
-    fixed = _raw_common_factor(1)
-    while g.total_degree() > fixed.total_degree():
-        try:
-            g = exact_divide(g, fixed)
-        except InexactDivisionError:
-            break
+    g = power_coefficients(n)[1]
     for d in range(2, n):
-        if n % d:
-            continue
-        gd = derive_gamma(d)
-        while g.total_degree() > 0:
-            try:
-                g = exact_divide(g, gd)
-            except InexactDivisionError:
-                break
-    g = strip_var_monomials(g)
-    if g.total_degree() == 0:
-        raise DegenerateFamilyError(
-            f"no new factor left for period {n} after divisor removal")
+        if n % d == 0:
+            g = exact_divide(g, derive_gamma(d))
     return normalize(g)
 
 
@@ -155,8 +131,7 @@ def recurrence_F(n: int, a=None, b=None) -> RecurrenceRelation:
         gamma = gamma.subs_values({"a": a, "b": b})
         apoly, bpoly = MPoly.const(a), MPoly.const(b)
     x, X = MPoly.var("x"), MPoly.var("X")
-    h = RatFunc(X * (1 + bpoly * x), x + apoly, reduce=False)
-    F = compose_parts(gamma, {"h": h})[0]
+    F = compose_parts(gamma, {"h": (X * (1 + bpoly * x), x + apoly)})[0]
     # primitive() makes the leading term positive, in the term order the
     # recorded recurrences were normalised in
     F = F.with_vars(("b", "a", "X", "x")).primitive()

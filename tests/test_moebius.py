@@ -4,16 +4,19 @@ import cmath
 import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from periodmaps.algebra import MPoly, equal_up_to_scale, parse_poly, roots
+from periodmaps.algebra import (
+    MPoly, equal_up_to_scale, exact_divide, normalize, parse_poly, poly_gcd,
+    roots, strip_var_monomials)
 from periodmaps.elim import fixtures_for
-from periodmaps.errors import DegenerateParameterError
+from periodmaps.errors import DegenerateParameterError, InexactDivisionError
 from periodmaps.moebius import (
     MoebiusParams, derive_gamma, initial_state, mu_pair, param_step,
-    recurrence_F, step_matrix_power)
+    power_coefficients, recurrence_F, step_matrix_power)
 
 GAMMA_TEXTS = {
     2: "1 + h",
@@ -74,6 +77,40 @@ def test_recurrence_text_is_pinned(n, ab):
     assert got == RECURRENCE_SHA256[(n, ab)]
 
 
+# sha256 of str(F) at fractional (a, b), as recurrence_F wrote it when it
+# passed h = X(1 + bx)/(x + a) to compose_parts as a RatFunc
+FRACTIONAL_SHA256 = {
+    (2, "2", "1/3"): "f780dfb75fd8dca0a8b23d849d0ebe1143cd6606d8b67f23a097600209c5ee48",
+    (3, "2", "1/3"): "9e7cf3664c5bc7976aec65b36f58500d1ed50d936eacea6b04a6e31ec81f4adf",
+    (4, "2", "1/3"): "af74fe8132b5d6e37392ea0a888122b54afd90c22f794ff397671b41c54d1247",
+    (5, "2", "1/3"): "489068dc32135acb1322111ec5c2fafffb52463b651224429b89cbd5f0dde662",
+    (6, "2", "1/3"): "5888a86490bd1389ec011c3578be4f8e5287994af59f828b09a73372be0eb818",
+    (7, "2", "1/3"): "988016f202566ba10588e9bfe1b33b3f6320c56d3566f52348f57b71b77ca481",
+    (8, "2", "1/3"): "d5bca6cae65f13efc83e904e0929539b5ca0894945ddbbf71eda8bd3ebeb1a1d",
+    (2, "-3/2", "1/2"): "a85da21d02e01f1bdc907cbaf6632c1af861ba5311c242ce9fa48a43e0de7827",
+    (3, "-3/2", "1/2"): "65866187a748f3bde535593ab505ecd62989c5b58ca10a7454f97a1479383f93",
+    (4, "-3/2", "1/2"): "aa63c412426e0b0536e27ccf186adad9e3b345a31e9f40b14d3ee711a4d5997c",
+    (5, "-3/2", "1/2"): "6560bae40aaa17413e863fb02d6df6503c89c572fb4e099a36fbc5e3be735484",
+    (6, "-3/2", "1/2"): "5aacc332947eb0279ddaf2f5d06381149d31c3ca5e8a72f262863b0acd80b400",
+    (7, "-3/2", "1/2"): "a2c4d486c595ca518d5fc6220a33abd687efc0e009c96e21005f0de30f2c1878",
+    (8, "-3/2", "1/2"): "b39dc3949878a5147925d8f8a0dc78ff46c7f13dfbc707a891c9c17b268157d9",
+    (2, "5/7", "-7/4"): "250199a496aa6ee695826d849aa913dc08cc116dba6574da92e900c0e045ec1c",
+    (3, "5/7", "-7/4"): "3beab809fd3c772e9a5c851c8e9a77017b42091bdaf44488d787c485705f30b1",
+    (4, "5/7", "-7/4"): "810730f372a3281b5232b7b9e4821de422fd330b5fa70e8b67ec422ac6c9d4b3",
+    (5, "5/7", "-7/4"): "97d8b12a1d12cb8a5c3c5bf4082ac8a1d8507c0da98418bbe2e7d24e0c58ed15",
+    (6, "5/7", "-7/4"): "3d5997bdbc04656a07f0f219e15cb4aa318419fa3f0c6f36f0658520bef49903",
+    (7, "5/7", "-7/4"): "670b8e8c88bde8c8ecf117c610e15f078cea1f5c3ea6f204229c59b065ae97d1",
+    (8, "5/7", "-7/4"): "011b450c3dd5e312468cdfb4d712ba05ae25d69c54907d5b7a3683e554df9d55",
+}
+
+
+@pytest.mark.parametrize("n,a,b", sorted(FRACTIONAL_SHA256))
+def test_recurrence_text_is_pinned_at_fractional_parameters(n, a, b):
+    rec = recurrence_F(n, Fraction(a), Fraction(b))
+    got = hashlib.sha256(str(rec.F).encode()).hexdigest()
+    assert got == FRACTIONAL_SHA256[(n, a, b)]
+
+
 def test_recurrence_rejects_half_specified_parameters():
     with pytest.raises(ValueError):
         recurrence_F(3, a=1)
@@ -125,6 +162,57 @@ def test_matrix_powers_agree_with_param_step():
         assert (q / p, r / s, p / s) == tuple(
             v.eval_exact([]) for v in (state.a_n, state.b_n, state.h_n)), k
         state = param_step(base, state)
+
+
+def test_cayley_hamilton_gives_every_matrix_power():
+    # M^n = alpha_n*M - det*alpha_(n-1)*I, against the matrix products
+    (m00, m01), (m10, m11) = step_matrix_power(1)
+    det = m00 * m11 - m01 * m10
+    for n in range(1, 10):
+        prev, alpha = power_coefficients(n)
+        (p, q), (r, s) = step_matrix_power(n)
+        assert p == alpha * m00 - det * prev, n
+        assert q == alpha * m01 and r == alpha * m10, n
+        assert s == alpha * m11 - det * prev, n
+
+
+@lru_cache(maxsize=None)
+def _return_factor_by_gcd(n):
+    """The gcd of the period-n return numerators of M^(n+1), monomials
+    stripped: the route derive_gamma took before Cayley-Hamilton."""
+    (p, q), (r, s) = step_matrix_power(n + 1)
+    a, b, h = (MPoly.var(v, ("a", "b", "h")) for v in ("a", "b", "h"))
+    return strip_var_monomials(
+        poly_gcd(poly_gcd(q - a * p, r - b * s), p - h * s))
+
+
+def _divide_out(g, f, floor):
+    while g.total_degree() > floor:
+        try:
+            g = exact_divide(g, f)
+        except InexactDivisionError:
+            break
+    return g
+
+
+@lru_cache(maxsize=None)
+def _gamma_by_gcd(n):
+    """derive_gamma as it was: the return factor with the fixed-point
+    factor and every lower-period generator divided out."""
+    fixed = _return_factor_by_gcd(1)
+    g = _divide_out(_return_factor_by_gcd(n), fixed, fixed.total_degree())
+    for d in range(2, n):
+        if n % d == 0:
+            g = _divide_out(g, _gamma_by_gcd(d), 0)
+    return normalize(strip_var_monomials(g))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_derive_gamma_matches_the_gcd_route(n):
+    got, want = derive_gamma(n), _gamma_by_gcd(n)
+    assert got.vars == want.vars == ("h", "b", "a")
+    assert got.terms == want.terms
+    assert str(got) == str(want)
 
 
 def _distance_from_scalar(m):

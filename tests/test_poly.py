@@ -393,6 +393,18 @@ def test_rational_function_eval_converts_the_point_once(monkeypatch):
         r.eval([1j])
 
 
+def test_compose_parts_takes_a_pair_whose_denominator_has_more_variables():
+    """The denominator's variables that the numerator lacks follow the
+    numerator's in the result."""
+    from periodmaps.algebra import compose_parts
+    num, den = compose_parts(parse_poly("h^2 + 1", ("h",)),
+                             {"h": (MPoly.var("X"),
+                                    parse_poly("x + a", ("x", "a")))})
+    assert num.vars == den.vars == ("X", "x", "a")
+    assert num == parse_poly("X^2 + (x + a)^2", ("X", "x", "a"))
+    assert den == parse_poly("(x + a)^2", ("X", "x", "a"))
+
+
 def test_a_short_point_is_rejected_on_every_call():
     p = parse_poly("x*y + 1", ("x", "y", "z"))
     for _ in range(3):
