@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, sub
+from operator import add, sub, truediv
 from typing import Mapping, Sequence, Union
 
 from ..errors import ArityError, InexactDivisionError, NonFiniteError, ParseError
@@ -579,27 +579,42 @@ def parse_poly(text: str, variables: Sequence[str] = None) -> MPoly:
 
 
 def exact_divide(p: MPoly, f: MPoly) -> MPoly:
-    """Exact quotient q with q*f == p; raises with the remainder otherwise.
-
-    The remainder and the quotient are one dict each: every step moves the
-    remainder's graded-lex leading term into the quotient and subtracts
-    that term times f from the remainder in place.
-    """
+    """Exact quotient q with q*f == p; raises with the remainder otherwise."""
     if f.is_zero():
         raise InexactDivisionError("division by the zero polynomial", remainder=p)
     p, f = MPoly.align(p, f)
-    lt_f, lc_f = f.leading()
-    f_terms = f.terms.items()
-    rem = dict(p.terms)
+    quotient, rem = divide_terms(p.terms, f.terms, truediv)
+    if rem:
+        raise InexactDivisionError("non-exact polynomial division",
+                                   remainder=MPoly._make(p.vars, rem))
+    return MPoly._make(p.vars, quotient)
+
+
+def divide_terms(dividend: dict, divisor: dict, divide):
+    """(quotient, remainder) of two term dicts on one variable tuple.
+
+    The remainder and the quotient are one dict each: every step moves the
+    remainder's graded-lex leading term into the quotient, with
+    coefficient divide(its coefficient, the divisor's leading one), and
+    subtracts that term times divisor from the remainder in place.  The
+    division stops, leaving a nonzero remainder, at the first negative
+    exponent or the first coefficient for which divide gives None; the
+    remainder is empty exactly when divisor divides dividend.
+    """
+    lt_f = max(divisor, key=grlex_key)
+    lc_f = divisor[lt_f]
+    f_terms = divisor.items()
+    rem = dict(dividend)
     get = rem.get
     quotient = {}
     while rem:
         lt_r = max(rem, key=grlex_key)
         diff = tuple(map(sub, lt_r, lt_f))
         if any(d < 0 for d in diff):
-            raise InexactDivisionError("non-exact polynomial division",
-                                       remainder=MPoly._make(p.vars, rem))
-        qc = rem[lt_r] / lc_f
+            break
+        qc = divide(rem[lt_r], lc_f)
+        if qc is None:
+            break
         quotient[diff] = qc
         for e, c in f_terms:
             m = tuple(map(add, diff, e))
@@ -612,7 +627,7 @@ def exact_divide(p: MPoly, f: MPoly) -> MPoly:
                     rem[m] = s
                 else:
                     del rem[m]
-    return MPoly._make(p.vars, quotient)
+    return quotient, rem
 
 
 def divides(f: MPoly, p: MPoly) -> bool:

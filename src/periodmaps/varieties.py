@@ -74,6 +74,12 @@ class VarietyGenerator:
             self.owner.varnames) for g in self.gammas)
 
     @lru_cache(maxsize=None)
+    def member_scales(self) -> Tuple[float, ...]:
+        """1 + max|c| of each generator, the scale membership's tolerance
+        is relative to; computed on first use and cached."""
+        return tuple(1 + gamma.max_abs_coeff() for gamma in self.gammas)
+
+    @lru_cache(maxsize=None)
     def toda_quadratic(self) -> MPoly:
         """toda3's t2 with w eliminated through t1 = 0, which leaves it
         quadratic in v; built on first use and cached."""
@@ -151,10 +157,10 @@ def membership(g: VarietyGenerator, p: Sequence[complex],
         order = g.owner.invariant_names
     residuals = []
     ok = True
-    for gamma in g.gammas:
+    for gamma, scale in zip(g.gammas, g.member_scales()):
         val = gamma.with_vars(order).eval(values)
         residuals.append(abs(val))
-        if abs(val) > tol * (1 + gamma.max_abs_coeff()):
+        if abs(val) > tol * scale:
             ok = False
     return ok, residuals
 
@@ -269,7 +275,7 @@ def sample_on_variety(g: VarietyGenerator, seed: int):
                                 f"with {g.l} generators")
         num = g.composed_numerators()[0]
         last = names[-1]
-        if num.degree(last) == 0:
+        if len(num.as_univariate(last)) == 1:
             raise SamplingError(
                 f"generator does not involve the solve coordinate {last!r}")
         solve = lambda drawn: _solve_last(g, num, drawn, last)

@@ -1,8 +1,11 @@
 """Gcd and squarefree-part behaviour, cross-checked against sympy."""
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -129,11 +132,11 @@ def test_bulk_gcd_cofactors_are_coprime():
         assert poly_gcd(a, b).total_degree() == 0
 
 
-def _random_trivariate(rng, max_terms=3):
-    terms = {tuple(rng.randint(0, 2) for _ in range(3)):
+def _random_poly(rng, variables, max_terms=3):
+    terms = {tuple(rng.randint(0, 2) for _ in variables):
              Fraction(rng.randint(-9, 9), rng.randint(1, 4))
              for _ in range(rng.randint(1, max_terms))}
-    return MPoly(("x", "y", "z"), terms)
+    return MPoly(variables, terms)
 
 
 def test_bulk_trivariate_gcd_matches_sympy():
@@ -142,7 +145,7 @@ def test_bulk_trivariate_gcd_matches_sympy():
     rng = random.Random("gcd-trivariate")
     checked = 0
     while checked < 60:
-        g, p, q = (_random_trivariate(rng) for _ in range(3))
+        g, p, q = (_random_poly(rng, ("x", "y", "z")) for _ in range(3))
         if g.is_zero() or p.is_zero() or q.is_zero():
             continue
         ours = poly_gcd(g * p, g * q)
@@ -161,9 +164,10 @@ def test_bulk_trivariate_gcd_matches_sympy():
 def _squarefree_by_gcd(p, var):
     """squarefree_part as it was before the content split and the
     certificate: p divided by its gcd with the derivative."""
+    from periodmaps.algebra import gcd
     if p.degree(var) == 0:
         return p
-    g = poly_gcd(p, p.derivative(var))
+    g = gcd._prs_gcd(p, p.derivative(var))
     if g.total_degree() == 0:
         return p
     return exact_divide(p, g)
@@ -179,10 +183,10 @@ def _random_factor(rng, dX):
 def test_squarefree_matches_the_gcd_route_on_planted_powers():
     """c * f * g^2 * h^3 with c free of X (and g or h sometimes too): the
     content split gives the old route's polynomial in the same variable
-    tuple.  Where the certificate holds it is the same polynomial; where
-    the gcd fallback runs it may differ by the factor -1, because the old
-    route's sign came from the variable order inside poly_gcd's
-    recursion on the whole of p."""
+    tuple, up to the factor -1, because the old route's sign came from
+    the variable order inside the PRS recursion.  Where the certificate
+    holds, the sign is pinned: p is the result times its content in X,
+    which is primitive with a positive graded-lex leading coefficient."""
     rng = random.Random("squarefree-planted")
     outcomes = set()
     checked = 0
@@ -196,27 +200,36 @@ def test_squarefree_matches_the_gcd_route_on_planted_powers():
         assert got.vars == want.vars
         certified = g.degree("X") == h.degree("X") == 0 and \
             poly_gcd(f, f.derivative("X")).total_degree() == 0
+        assert got.terms in (want.terms, (-want).terms)
         if certified:
-            assert got.terms == want.terms
-        else:
-            assert got.terms in (want.terms, (-want).terms)
+            content = exact_divide(p, got)
+            assert content.content() == 1 and content.leading_coeff() > 0
         outcomes.add(certified)
         checked += 1
     assert outcomes == {True, False}
 
 
-def _lv3_p4_y_primitive():
-    """The primitive part of lv3 period 4's Y resultant, the polynomial
-    the Y problem hands to squarefree_part."""
+@lru_cache(maxsize=None)
+def _lv3_resultant(period, index):
+    """(R, V): the resultant in z of lv3's problem index at period, with
+    its monomial factors stripped, and the image coordinate V it keeps;
+    the polynomial the problem hands to squarefree_part."""
     from periodmaps import elim
-    from periodmaps.algebra import poly_content, strip_var_monomials
-    prob = elim.standard_problems("lv3", 4)[1]
-    assert prob.eliminate == ("z",) and "Y" in prob.keep
+    from periodmaps.algebra import strip_var_monomials
+    prob = elim.standard_problems("lv3", period)[index]
+    V = "XY"[index]
+    assert prob.eliminate == ("z",) and V in prob.keep
     polys = [p.with_vars(tuple(sorted(set(p.used_vars())
              | set(prob.eliminate) | set(prob.keep))))
              for p in prob.relations]
     (R,) = elim._eliminate_once(polys, "z")
-    R = strip_var_monomials(R)
+    return strip_var_monomials(R), V
+
+
+def _lv3_p4_y_primitive():
+    """The primitive part of lv3 period 4's Y resultant."""
+    from periodmaps.algebra import poly_content
+    R, _ = _lv3_resultant(4, 1)
     return exact_divide(R, poly_content(R, "Y"))
 
 
@@ -270,3 +283,144 @@ def test_a_point_that_drops_the_degree_certifies_nothing(monkeypatch):
     assert squarefree_part(p, "X") == _squarefree_by_gcd(p, "X")
     assert squarefree_part(p, "X").degree("X") == 1
     assert tried[0] == {"x": 0} and len(tried) > 1
+
+
+def _to_sympy(p):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in p.terms.items()}, *sympy.symbols(p.vars))
+
+
+def _from_sympy(P, variables):
+    return MPoly(variables, {e: Fraction(int(c.p), int(c.q))
+                             for e, c in P.as_dict().items()})
+
+
+def _in_contract(g, p, q):
+    """g is primitive, with a positive graded-lex leading coefficient, in
+    the variables it uses, ordered as in the aligned inputs."""
+    order = MPoly.align(p, q)[0].vars
+    assert g.vars == tuple(v for v in order if v in g.used_vars())
+    assert g.content() == 1 and g.leading_coeff() > 0
+
+
+def test_heuristic_matches_the_prs_and_sympy_on_planted_factors():
+    """g*a and g*b in one to five variables with rational coefficients:
+    the heuristic gcd is the PRS's up to sign, sympy's up to scale, and
+    keeps the planted g."""
+    from periodmaps.algebra import gcd
+    rng = random.Random("gcd-heuristic-planted")
+    names = ["x", "y", "z", "u", "v"]
+    widths = set()
+    checked = 0
+    while checked < 60:
+        variables = tuple(rng.sample(names, rng.randint(1, 5)))
+        g, a, b = (_random_poly(rng, variables) for _ in range(3))
+        if g.is_zero() or a.is_zero() or b.is_zero():
+            continue
+        p, q = g * a, g * b
+        got = poly_gcd(p, q)
+        _in_contract(got, p, q)
+        assert divides(g.primitive(), got)
+        ours, prs = MPoly.align(got, gcd._prs_gcd(p, q))
+        assert ours.terms in (prs.terms, (-prs).terms)
+        theirs = sympy.gcd(_to_sympy(p), _to_sympy(q))
+        assert equal_up_to_scale(got, _from_sympy(theirs, p.vars))
+        widths.add(len(variables))
+        checked += 1
+    assert widths == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("period, index", [(4, 0), (4, 1), (5, 0), (5, 1)])
+def test_lv3_resultant_gcds_match_sympy(period, index):
+    """The content and squarefree gcds of the lv3 resultants that
+    elimination takes (147 to 2,731 terms) against sympy, and at period 4
+    the content against the PRS's."""
+    from periodmaps.algebra import gcd, poly_content
+    R, V = _lv3_resultant(period, index)
+    content = poly_content(R, V)
+    coeffs = [_to_sympy(c) for c in R.as_univariate(V) if not c.is_zero()]
+    theirs = coeffs[0]
+    for c in coeffs[1:]:
+        theirs = sympy.gcd(theirs, c)
+    assert equal_up_to_scale(content, _from_sympy(theirs, content.vars))
+    if period == 4:
+        assert content == gcd._content(R, V, gcd._prs_gcd)
+    prim = exact_divide(R, content)
+    dprim = prim.derivative(V)
+    got = poly_gcd(prim, dprim)
+    _in_contract(got, prim, dprim)
+    theirs = sympy.gcd(_to_sympy(prim), _to_sympy(dprim))
+    assert equal_up_to_scale(got, _from_sympy(theirs, prim.vars))
+
+
+def test_a_spurious_integer_factor_moves_to_the_next_point(monkeypatch):
+    """f = (x + 1)(y + 2) and g = (x + 8)(y + 2) give xi = 2*2 + 2 = 6,
+    where x + 1 and x + 8 share the integer factor 7: the candidate read
+    back there is f itself, which g rejects, so the next point runs."""
+    from periodmaps.algebra import gcd
+    x, y = MPoly.var("x", ("x", "y")), MPoly.var("y", ("x", "y"))
+    f, g = (x + 1) * (y + 2), (x + 8) * (y + 2)
+    assert math.gcd(6 + 1, 6 + 8) == 7
+    tried = []
+    read_back = gcd._read_back
+
+    def recording(f_, g_, images, xi):
+        found = read_back(f_, g_, images, xi)
+        if len(next(iter(f_))) == 2:
+            tried.append((xi, found is not None))
+        return found
+    monkeypatch.setattr(gcd, "_read_back", recording)
+    assert poly_gcd(f, g) == y + 2
+    assert tried[0] == (6, False) and tried[-1][1] and len(tried) == 2
+
+
+def test_the_prs_fallback_keeps_the_contract(monkeypatch):
+    """With no evaluation point left, poly_gcd falls back to the PRS and
+    still returns the heuristic's polynomial, variable tuple and sign,
+    although the PRS's own tuple or sign differs on some inputs."""
+    from periodmaps.algebra import gcd
+    rng = random.Random("gcd-fallback")
+    cases = []
+    while len(cases) < 40:
+        variables = tuple(rng.sample(["a", "b", "h", "x"], rng.randint(1, 4)))
+        g, a = (_random_poly(rng, variables) for _ in range(2))
+        b = _random_poly(rng, tuple(reversed(variables)))
+        if not (g.is_zero() or a.is_zero() or b.is_zero()):
+            cases.append((g * a, g * b))
+    want = [poly_gcd(p, q) for p, q in cases]
+    raw = [gcd._prs_gcd(p, q) for p, q in cases]
+    assert any(r.vars != w.vars or r.terms != w.terms
+               for r, w in zip(raw, want))
+    monkeypatch.setattr(gcd, "HEU_POINTS", 0)
+    ran = []
+    prs = gcd._prs_gcd
+
+    def counting(p, q):
+        ran.append(p)
+        return prs(p, q)
+    monkeypatch.setattr(gcd, "_prs_gcd", counting)
+    for (p, q), w in zip(cases, want):
+        got = poly_gcd(p, q)
+        assert got.vars == w.vars and got.terms == w.terms
+    assert len(ran) >= len(cases)
+
+
+def test_lv3_p5_x_problem_reaches_a_certified_squarefree_part(monkeypatch):
+    """lv3 period 5's X resultant (1,865 terms) has primitive part
+    (X - 1)^2 * f, which no point certifies: the gcd with the derivative
+    runs, without the PRS, and leaves (X - 1) * f, of degree 9 in X,
+    which a point then certifies squarefree."""
+    from periodmaps.algebra import gcd, poly_content
+
+    def no_prs(p, q):
+        raise AssertionError("the PRS fallback ran")
+    monkeypatch.setattr(gcd, "_prs_gcd", no_prs)
+    R, V = _lv3_resultant(5, 0)
+    assert len(R.terms) == 1865
+    prim = exact_divide(R, poly_content(R, V))
+    assert not gcd._certified_squarefree(prim, V)
+    sf = squarefree_part(R, V)
+    assert sf.degree(V) == 9 and len(sf.terms) == 306
+    assert gcd._certified_squarefree(sf, V)
+    assert exact_divide(prim, sf) == parse_poly("X - 1", ("X",))

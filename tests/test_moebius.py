@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from periodmaps.algebra import (
-    MPoly, equal_up_to_scale, exact_divide, normalize, parse_poly, poly_gcd,
-    roots, strip_var_monomials)
+    MPoly, equal_up_to_scale, exact_divide, normalize, parse_poly, roots,
+    strip_var_monomials)
+from periodmaps.algebra.gcd import _prs_gcd
 from periodmaps.elim import fixtures_for
 from periodmaps.errors import DegenerateParameterError, InexactDivisionError
 from periodmaps.moebius import (
@@ -183,7 +184,7 @@ def _return_factor_by_gcd(n):
     (p, q), (r, s) = step_matrix_power(n + 1)
     a, b, h = (MPoly.var(v, ("a", "b", "h")) for v in ("a", "b", "h"))
     return strip_var_monomials(
-        poly_gcd(poly_gcd(q - a * p, r - b * s), p - h * s))
+        _prs_gcd(_prs_gcd(q - a * p, r - b * s), p - h * s))
 
 
 def _divide_out(g, f, floor):
