@@ -1,6 +1,6 @@
 """Exact polynomial/rational-function kernel and numeric boundary tools."""
 
-from .gcd import poly_content, poly_gcd, squarefree_part
+from .gcd import cofactors, poly_content, poly_gcd, squarefree_part
 from .poly import (MPoly, divides, exact_divide, normalize, parse_poly,
                    strip_var_monomials)
 from .ratfunc import RatFunc, compose_parts
@@ -12,7 +12,7 @@ __all__ = [
     "MPoly", "RatFunc",
     "parse_poly", "exact_divide", "divides",
     "strip_var_monomials", "normalize",
-    "poly_content", "poly_gcd", "squarefree_part",
+    "cofactors", "poly_content", "poly_gcd", "squarefree_part",
     "resultant", "sylvester_matrix", "det_bareiss",
     "roots", "roots_of_poly", "roots_of_values", "coefficient_values",
     "root_sort_key",

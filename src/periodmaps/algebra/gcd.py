@@ -1,29 +1,27 @@
-"""Multivariate polynomial gcd over the rationals.
+"""Multivariate polynomial gcd over the rationals, with its cofactors.
 
-``poly_gcd`` is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J.
+``cofactors`` is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J.
 Symbolic Comput. 1989) over Z.  The inputs, their contents divided out,
 have their first variable evaluated at a large integer xi; the gcd of the
-images is taken the same way down to integers, then read back xi-adically
-and kept only if it divides both inputs exactly.  With xi at least
+images and its integer cofactors are taken the same way down to integers,
+then read back xi-adically and kept only if they divide both inputs
+exactly, which gives the cofactors too.  With xi at least
 2*min(|f|, |g|) + 2 at every level (max-norms of the primitive inputs), a
 divisor that passes is the gcd (Geddes, Czapor and Labahn, *Algorithms for
 Computer Algebra*, Thm 7.7).  When HEU_POINTS growing points all fail, the
-primitive pseudo-remainder sequence ``_prs_gcd`` runs instead.
+primitive pseudo-remainder sequence ``_prs_gcd`` runs instead, and the
+cofactors are divided out.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
-from .poly import MPoly, divide_terms, exact_divide
+from .poly import MPoly, divide_terms, exact_divide, grlex_key
 
-# evaluation points poly_gcd tries before it falls back to the PRS
+# evaluation points the heuristic tries before it falls back to the PRS
 HEU_POINTS = 6
-# integer points squarefree_part tries before it falls back to the gcd
-CERTIFY_POINTS = 5
-POINT_BOUND = 97
 
 
 def poly_content(p: MPoly, var: str) -> MPoly:
@@ -64,26 +62,46 @@ def _pseudo_rem(p: MPoly, q: MPoly, var: str) -> MPoly:
 
 
 def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Gcd over Q.
+    """Gcd over Q, normalised as cofactors gives it."""
+    return cofactors(p, q)[0]
 
-    Every path returns it primitive, with a positive graded-lex leading
+
+def cofactors(p: MPoly, q: MPoly):
+    """(h, p/h, q/h) with h the gcd of p and q over Q.
+
+    Every path returns h primitive, with a positive graded-lex leading
     coefficient, in the variables it uses, ordered as in the aligned
     inputs (p's variables, then q's others): a constant gcd is 1 in no
-    variables, and the gcd of p and zero is p so normalised.
+    variables, and the gcd of p and zero is p so normalised.  The
+    cofactors come in the aligned variable tuple, so h * (p/h) == p.
     """
     p, q = MPoly.align(p, q)
     if p.is_zero() or q.is_zero():
-        return _canonical(q if p.is_zero() else p, p.vars)
+        h = _canonical(q if p.is_zero() else p, p.vars)
+        return (h, p, q) if h.is_zero() else _divided(h, p, q)
     used_p, used_q = set(p.used_vars()), set(q.used_vars())
     if not used_p & used_q:
-        return MPoly.const(1)
+        return MPoly.const(1), p, q
     order = tuple(v for v in p.vars if v in used_p or v in used_q)
     idx = [p.vars.index(v) for v in order]
     found = _heuristic(_integer_part(p, idx), _integer_part(q, idx))
     if found is None:
-        return _canonical(_prs_gcd(p, q), p.vars)
-    h = MPoly._make(order, {e: Fraction(c) for e, c in found[0].items()})
-    return _canonical(h, order)
+        return _divided(_canonical(_prs_gcd(p, q), p.vars), p, q)
+    h, cf, cg = found
+    # h is primitive, as f and g are: only its sign is left to fix
+    sign = 1 if h[max(h, key=grlex_key)] > 0 else -1
+    return (_lifted(h, Fraction(sign), order).pruned(),
+            _lifted(cf, sign * p.content(), order).with_vars(p.vars),
+            _lifted(cg, sign * q.content(), order).with_vars(p.vars))
+
+
+def _divided(h: MPoly, p: MPoly, q: MPoly):
+    return h, exact_divide(p, h), exact_divide(q, h)
+
+
+def _lifted(f: dict, scale: Fraction, order: tuple) -> MPoly:
+    """The integer polynomial f on the variables order, times scale."""
+    return MPoly._make(order, {e: scale * c for e, c in f.items()})
 
 
 def _canonical(g: MPoly, order: tuple) -> MPoly:
@@ -216,8 +234,8 @@ def _int_quotient(a: int, b: int):
 def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
     """Gcd of nonzero p and q by the primitive pseudo-remainder sequence
     in their common variable of least combined degree, with contents
-    taken the same way: poly_gcd's fallback.  Its sign and variable tuple
-    come from its recursion."""
+    taken the same way: the fallback of cofactors, which then divides p
+    and q by it.  Its sign and variable tuple come from its recursion."""
     p = p.pruned()
     q = q.pruned()
     common = [v for v in p.vars if v in q.vars]
@@ -242,48 +260,13 @@ def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
     return c.primitive()
 
 
-def _points(others: tuple):
-    """Deterministic integer points for the variables others, each
-    coordinate in [-POINT_BOUND, POINT_BOUND]."""
-    rng = random.Random("squarefree")
-    for _ in range(CERTIFY_POINTS):
-        yield {v: rng.randint(-POINT_BOUND, POINT_BOUND) for v in others}
-
-
-def _certified_squarefree(prim: MPoly, var: str) -> bool:
-    """True if some integer specialisation of the variables other than
-    var keeps prim's degree in var and is squarefree over Q.
-
-    That is a proof that prim has no repeated factor of positive degree
-    in var: such a factor keeps its degree wherever prim's leading
-    coefficient does not vanish, so it would repeat in the
-    specialisation.  False proves nothing.
-    """
-    others = tuple(v for v in prim.used_vars() if v != var)
-    if not others:
-        return False            # the gcd below is the univariate check
-    d = prim.degree(var)
-    for point in _points(others):
-        u = prim.subs_values(point)
-        if u.degree(var) == d and \
-                poly_gcd(u, u.derivative(var)).total_degree() == 0:
-            return True
-    return False
-
-
 def squarefree_part(p: MPoly, var: str) -> MPoly:
     """p with repeated factors (in var) collapsed to multiplicity one and
-    its content in var divided out.
+    its content in var divided out: p's cofactor of gcd(p, dp/dvar).
 
-    The content is split off first; the primitive part is returned as it
-    is when an integer specialisation certifies it squarefree, and is
-    divided by its gcd with its derivative otherwise.  Since
-    gcd(C*f, C*f') = C*gcd(f, f') for C free of var, this is, up to a
-    constant factor, p divided by gcd(p, dp/dvar).
+    Since gcd(C*f, C*f') = C*gcd(f, f') for C free of var, the gcd holds
+    p's content in var as well as its repeated factors.
     """
     if p.degree(var) == 0:
         return p
-    prim = exact_divide(p, poly_content(p, var))
-    if _certified_squarefree(prim, var):
-        return prim
-    return exact_divide(prim, poly_gcd(prim, prim.derivative(var)))
+    return cofactors(p, p.derivative(var))[1]

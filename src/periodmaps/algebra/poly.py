@@ -18,8 +18,6 @@ from ..errors import ArityError, InexactDivisionError, NonFiniteError, ParseErro
 
 Scalar = Union[int, Fraction]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):

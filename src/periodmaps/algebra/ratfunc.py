@@ -8,8 +8,8 @@ from operator import mul
 from typing import Mapping, Sequence, Union
 
 from ..errors import PoleError
-from .gcd import poly_gcd
-from .poly import MPoly, exact_divide
+from .gcd import cofactors
+from .poly import MPoly
 
 POLE_REL = 1e-12
 
@@ -33,11 +33,7 @@ class RatFunc:
             self.num = MPoly.zero()
             self.den = MPoly.const(1)
             return
-        num, den = MPoly.align(num, den)
-        g = poly_gcd(num, den)
-        if g.total_degree() > 0:
-            num = exact_divide(num, g)
-            den = exact_divide(den, g)
+        _, num, den = cofactors(num, den)
         cd = den.content()
         scale = 1 / cd
         if den.leading_coeff() < 0:

@@ -57,10 +57,22 @@ def _eval_at(p: MPoly, t: Transition) -> complex:
     return p.eval([complex(t.get(v, 0)) for v in p.vars])
 
 
+def _residuals(p: MPoly, transitions: Sequence[Transition]):
+    """(|p(t)|, sum |c_i| |m_i(t)|) at each transition t: the value of p
+    and the running-error scale of its Horner evaluation, the same plan
+    with |c| leaves at |t|.  Roundoff moves the value by at most a small
+    multiple of the unit roundoff times that scale, however large the
+    monomials are (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sec. 5.1)."""
+    scale = MPoly._make(p.vars, {e: abs(c) for e, c in p.terms.items()})
+    for t in transitions:
+        yield (abs(_eval_at(p, t)),
+               _eval_at(scale, {v: abs(z) for v, z in t.items()}).real)
+
+
 def _vanishes(p: MPoly, transitions: Sequence[Transition],
               tol: float) -> bool:
-    scale = 1 + float(p.max_abs_coeff())
-    return all(abs(_eval_at(p, t)) <= tol * scale for t in transitions)
+    return all(r <= tol * s for r, s in _residuals(p, transitions))
 
 
 def _eliminate_once(polys: List[MPoly], v: str) -> List[MPoly]:

@@ -285,6 +285,23 @@ def test_eliminate_without_fixtures_reports_what_it_derives(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == LV3_P4_F_SHA256
 
 
+# the same for `eliminate --map lv3 --period 5`, the first run to pass,
+# under the running-error vanishing bound
+LV3_P5_F_SHA256 = (
+    "9a381df4fcf370469fb4be288a3ccaf351218e17a98944b73c64b9f61a667bcc")
+
+
+def test_eliminate_lv3_period_5_derives_one_recurrence_per_target(capsys):
+    import hashlib
+    code, out, _ = _run(capsys, "eliminate", "--map", "lv3", "--period", "5")
+    assert code == EXIT_OK
+    verdicts = json.loads(out)["verdicts"]
+    assert [sorted(v) for v in verdicts] == [["F", "pass"]] * 2
+    assert all(v["pass"] for v in verdicts)
+    text = "\n".join(v["F"] for v in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest() == LV3_P5_F_SHA256
+
+
 def test_fixtures_fail_when_a_recorded_elimination_breaks(capsys,
                                                           monkeypatch):
     from periodmaps import elim

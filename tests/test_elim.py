@@ -78,6 +78,32 @@ def test_moebius_symbolic_derivation():
     assert any(equal_up_to_scale(r, fix.F) for r in out)
 
 
+def test_the_running_error_bound_leaves_wide_margins(monkeypatch):
+    """Every vanishing test of elimination, relative to the running-error
+    scale sum |c_i| |m_i(t)|: the factors accepted stay within 1e-13 on
+    every transition, the candidates rejected reach 0.1 on some, both
+    far from the bound 1e-8.  lv3 p5's factors are among the accepted,
+    though the bound 1e-8 * (1 + max |c|) rejected its X factor."""
+    from periodmaps import elim
+    worst = {True: [], False: []}
+    residuals = elim._residuals
+
+    def recording(p, transitions, tol):
+        ratios = [r / s for r, s in residuals(p, transitions)]
+        accepted = all(q <= tol for q in ratios)
+        worst[accepted].append(max(ratios))
+        return accepted
+    monkeypatch.setattr(elim, "_vanishes", recording)
+    pairs = [("example", 3), ("lv3", 2), ("lv3", 3), ("lv3", 4), ("lv3", 5),
+             ("lv4", 2), ("toda3", 3), ("moebius2d", 2), ("moebius2d", 5)]
+    for name, period in pairs:
+        assert derive(name, period,
+                      transitions=default_transitions(name, period))
+    assert len(worst[True]) == 22 and len(worst[False]) == 51
+    assert max(worst[True]) <= 1e-13
+    assert min(worst[False]) >= 0.1
+
+
 def test_check_fixture_verdicts():
     fix = fixtures_for("lv3", 2)[0]
     v, = check_fixture([fix])

@@ -10,8 +10,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from periodmaps.algebra import (
-    MPoly, divides, equal_up_to_scale, exact_divide, parse_poly, poly_gcd,
-    squarefree_part)
+    MPoly, cofactors, divides, equal_up_to_scale, exact_divide, parse_poly,
+    poly_gcd, squarefree_part)
 
 VARS = ("x", "y")
 
@@ -63,6 +63,8 @@ def test_gcd_symmetric(p, q):
 def test_gcd_with_zero_is_primitive_part(p):
     assert poly_gcd(p, MPoly.zero()) == p.primitive()
     assert poly_gcd(MPoly.zero(), p) == p.primitive()
+    _check_cofactors(p, MPoly.zero(("z",)))
+    _check_cofactors(MPoly.zero(("z",)), p)
 
 
 def test_gcd_directed_examples():
@@ -74,6 +76,10 @@ def test_gcd_directed_examples():
     assert poly_gcd(p, q) == x + y
     # coprime pair
     assert poly_gcd(x + 1, x + 2).total_degree() == 0
+    # no common variable, and two zeros
+    _check_cofactors(x * x - 2 * x, parse_poly("3*z + 1/2", ("y", "z")))
+    zeros = MPoly.zero(("x",)), MPoly.zero(("y",))
+    assert [r.terms for r in cofactors(*zeros)] == [{}, {}, {}]
 
 
 def test_squarefree_collapses_multiplicity():
@@ -162,14 +168,12 @@ def test_bulk_trivariate_gcd_matches_sympy():
 
 
 def _squarefree_by_gcd(p, var):
-    """squarefree_part as it was before the content split and the
-    certificate: p divided by its gcd with the derivative."""
+    """p divided by its PRS gcd with the derivative, that gcd taken in p's
+    variables with a positive graded-lex leading coefficient."""
     from periodmaps.algebra import gcd
     if p.degree(var) == 0:
         return p
-    g = gcd._prs_gcd(p, p.derivative(var))
-    if g.total_degree() == 0:
-        return p
+    g = gcd._prs_gcd(p, p.derivative(var)).with_vars(p.vars).primitive()
     return exact_divide(p, g)
 
 
@@ -182,11 +186,10 @@ def _random_factor(rng, dX):
 
 def test_squarefree_matches_the_gcd_route_on_planted_powers():
     """c * f * g^2 * h^3 with c free of X (and g or h sometimes too): the
-    content split gives the old route's polynomial in the same variable
-    tuple, up to the factor -1, because the old route's sign came from
-    the variable order inside the PRS recursion.  Where the certificate
-    holds, the sign is pinned: p is the result times its content in X,
-    which is primitive with a positive graded-lex leading coefficient."""
+    result is the PRS route's polynomial in the same variable tuple, and
+    p divided by it is primitive with a positive graded-lex leading
+    coefficient, whether or not the primitive part had a repeated
+    factor."""
     rng = random.Random("squarefree-planted")
     outcomes = set()
     checked = 0
@@ -197,14 +200,11 @@ def test_squarefree_matches_the_gcd_route_on_planted_powers():
         if p.degree("X") == 0:
             continue
         got, want = squarefree_part(p, "X"), _squarefree_by_gcd(p, "X")
-        assert got.vars == want.vars
-        certified = g.degree("X") == h.degree("X") == 0 and \
-            poly_gcd(f, f.derivative("X")).total_degree() == 0
-        assert got.terms in (want.terms, (-want).terms)
-        if certified:
-            content = exact_divide(p, got)
-            assert content.content() == 1 and content.leading_coeff() > 0
-        outcomes.add(certified)
+        assert got.vars == want.vars and got.terms == want.terms
+        divisor = exact_divide(p, got)
+        assert divisor.content() == 1 and divisor.leading_coeff() > 0
+        outcomes.add(g.degree("X") == h.degree("X") == 0 and
+                     poly_gcd(f, f.derivative("X")).total_degree() == 0)
         checked += 1
     assert outcomes == {True, False}
 
@@ -233,56 +233,28 @@ def _lv3_p4_y_primitive():
     return exact_divide(R, poly_content(R, "Y"))
 
 
-def _first_point(monkeypatch, first):
-    """Make squarefree_part's first point first; the rest stay its own,
-    so it tries as many points as before.  Returns the points tried."""
-    from periodmaps.algebra import gcd
-    tried = []
-    points = gcd._points
-
-    def patched(others):
-        for k, point in enumerate(points(others)):
-            point = first if k == 0 else point
-            tried.append(point)
-            yield point
-    monkeypatch.setattr(gcd, "_points", patched)
-    return tried
-
-
-def test_an_unlucky_point_is_followed_by_another(monkeypatch):
+def test_lv3_p4_y_primitive_part_is_its_own_squarefree_part():
     """At x = 1 lv3 p4's Y resultant picks up (Y - 1)^2, though it is
-    squarefree: a failed specialisation proves nothing, so the next point
-    must certify it and the multivariate gcd must not run."""
-    from periodmaps.algebra import gcd
+    squarefree: a specialisation can add a square, and squarefree_part,
+    which takes no specialisation, returns the primitive part as it is."""
     prim = _lv3_p4_y_primitive()
     unlucky = {"x": 1, "y": 5}
     u = prim.subs_values(unlucky)
     assert u.degree("Y") == prim.degree("Y")
     assert poly_gcd(u, u.derivative("Y")) == parse_poly("Y^2 - 2*Y + 1",
                                                         ("Y",))
-    tried = _first_point(monkeypatch, unlucky)
-    fallback = []
-    poly_gcd_ = gcd.poly_gcd
-
-    def counting(p, q):
-        if len(p.used_vars()) > 1 and p.degree("Y"):
-            fallback.append(p)
-        return poly_gcd_(p, q)
-    monkeypatch.setattr(gcd, "poly_gcd", counting)
-    assert squarefree_part(prim, "Y") == prim
-    assert tried[0] == unlucky and len(tried) == 2
-    assert fallback == []
+    got = squarefree_part(prim, "Y")
+    assert got.vars == prim.vars and got.terms == prim.terms
 
 
-def test_a_point_that_drops_the_degree_certifies_nothing(monkeypatch):
-    """At x = 0 the square (x*X + 1)^2 specialises to the constant 1,
-    whose gcd with its derivative is 1: the point must be skipped."""
+def test_a_square_with_a_vanishing_leading_coefficient_collapses():
+    """At x = 0 the square (x*X + 1)^2 specialises to the constant 1, but
+    the square itself collapses to x*X + 1."""
     x, X = MPoly.var("x"), MPoly.var("X")
     p = (x * X + 1) ** 2
-    tried = _first_point(monkeypatch, {"x": 0})
+    assert p.subs_values({"x": 0}) == 1
     assert squarefree_part(p, "X") == _squarefree_by_gcd(p, "X")
-    assert squarefree_part(p, "X").degree("X") == 1
-    assert tried[0] == {"x": 0} and len(tried) > 1
+    assert squarefree_part(p, "X") == x * X + 1
 
 
 def _to_sympy(p):
@@ -304,6 +276,18 @@ def _in_contract(g, p, q):
     assert g.content() == 1 and g.leading_coeff() > 0
 
 
+def _check_cofactors(p, q):
+    """cofactors gives poly_gcd's gcd, with exact cofactors in the aligned
+    variable tuple of (p, q); returns that gcd."""
+    h, cp, cq = cofactors(p, q)
+    want = poly_gcd(p, q)
+    assert h.vars == want.vars and h.terms == want.terms
+    order = MPoly.align(p, q)[0].vars
+    assert cp.vars == cq.vars == order
+    assert h * cp == p and h * cq == q
+    return h
+
+
 def test_heuristic_matches_the_prs_and_sympy_on_planted_factors():
     """g*a and g*b in one to five variables with rational coefficients:
     the heuristic gcd is the PRS's up to sign, sympy's up to scale, and
@@ -319,7 +303,7 @@ def test_heuristic_matches_the_prs_and_sympy_on_planted_factors():
         if g.is_zero() or a.is_zero() or b.is_zero():
             continue
         p, q = g * a, g * b
-        got = poly_gcd(p, q)
+        got = _check_cofactors(p, q)
         _in_contract(got, p, q)
         assert divides(g.primitive(), got)
         ours, prs = MPoly.align(got, gcd._prs_gcd(p, q))
@@ -388,7 +372,7 @@ def test_the_prs_fallback_keeps_the_contract(monkeypatch):
         b = _random_poly(rng, tuple(reversed(variables)))
         if not (g.is_zero() or a.is_zero() or b.is_zero()):
             cases.append((g * a, g * b))
-    want = [poly_gcd(p, q) for p, q in cases]
+    want = [_check_cofactors(p, q) for p, q in cases]
     raw = [gcd._prs_gcd(p, q) for p, q in cases]
     assert any(r.vars != w.vars or r.terms != w.terms
                for r, w in zip(raw, want))
@@ -401,16 +385,16 @@ def test_the_prs_fallback_keeps_the_contract(monkeypatch):
         return prs(p, q)
     monkeypatch.setattr(gcd, "_prs_gcd", counting)
     for (p, q), w in zip(cases, want):
-        got = poly_gcd(p, q)
+        got = _check_cofactors(p, q)
         assert got.vars == w.vars and got.terms == w.terms
     assert len(ran) >= len(cases)
 
 
 def test_lv3_p5_x_problem_reaches_a_certified_squarefree_part(monkeypatch):
     """lv3 period 5's X resultant (1,865 terms) has primitive part
-    (X - 1)^2 * f, which no point certifies: the gcd with the derivative
-    runs, without the PRS, and leaves (X - 1) * f, of degree 9 in X,
-    which a point then certifies squarefree."""
+    (X - 1)^2 * f: its gcd with the derivative, without the PRS, leaves
+    (X - 1) * f, of degree 9 in X, whose own gcd with its derivative is
+    1, which certifies it squarefree."""
     from periodmaps.algebra import gcd, poly_content
 
     def no_prs(p, q):
@@ -419,8 +403,7 @@ def test_lv3_p5_x_problem_reaches_a_certified_squarefree_part(monkeypatch):
     R, V = _lv3_resultant(5, 0)
     assert len(R.terms) == 1865
     prim = exact_divide(R, poly_content(R, V))
-    assert not gcd._certified_squarefree(prim, V)
     sf = squarefree_part(R, V)
     assert sf.degree(V) == 9 and len(sf.terms) == 306
-    assert gcd._certified_squarefree(sf, V)
+    assert poly_gcd(sf, sf.derivative(V)) == 1
     assert exact_divide(prim, sf) == parse_poly("X - 1", ("X",))

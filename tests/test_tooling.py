@@ -44,21 +44,32 @@ def _referenced_names(tree):
             yield node.name.split(".")[-1]
 
 
+def _private_names(node):
+    """The private names a top-level statement defines: a _function, a
+    _Class or an assigned _name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
 def test_no_private_helper_goes_unreferenced():
-    """A module-level _function or _Class that no other statement of the
-    package names is dead code left behind."""
+    """A module-level _function, _Class or _name that no other statement
+    of the package names is dead code left behind."""
     statements = []     # (module, top-level statement, names it reads)
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         statements += [(path, node, set(_referenced_names(node)))
                        for node in tree.body]
-    helpers = [(path, node) for path, node, _ in statements
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_")
-               and not node.name.startswith("__")]
-    assert helpers
-    dead = [f"{path.relative_to(PACKAGE)}:{node.lineno}: {node.name}"
-            for path, node in helpers
-            if not any(node.name in names
+    helpers = [(path, node, name) for path, node, _ in statements
+               for name in _private_names(node)]
+    assert {type(node) for _, node, _ in helpers} >= {
+        ast.FunctionDef, ast.Assign}
+    dead = [f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}"
+            for path, node, name in helpers
+            if not any(name in names
                        for _, other, names in statements if other is not node)]
     assert not dead, "unreferenced private helpers:\n" + "\n".join(dead)
