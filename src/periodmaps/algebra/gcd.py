@@ -16,7 +16,6 @@ cofactors are divided out.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .poly import MPoly, divide_terms, exact_divide, grlex_key
 
@@ -90,7 +89,7 @@ def cofactors(p: MPoly, q: MPoly):
     h, cf, cg = found
     # h is primitive, as f and g are: only its sign is left to fix
     sign = 1 if h[max(h, key=grlex_key)] > 0 else -1
-    return (_lifted(h, Fraction(sign), order).pruned(),
+    return (_lifted(h, sign, order).pruned(),
             _lifted(cf, sign * p.content(), order).with_vars(p.vars),
             _lifted(cg, sign * q.content(), order).with_vars(p.vars))
 
@@ -99,9 +98,10 @@ def _divided(h: MPoly, p: MPoly, q: MPoly):
     return h, exact_divide(p, h), exact_divide(q, h)
 
 
-def _lifted(f: dict, scale: Fraction, order: tuple) -> MPoly:
-    """The integer polynomial f on the variables order, times scale."""
-    return MPoly._make(order, {e: scale * c for e, c in f.items()})
+def _lifted(f: dict, scale, order: tuple) -> MPoly:
+    """The integer polynomial f (a fresh dict, taken over) on the
+    variables order, times the rational scale."""
+    return MPoly._make(order, f) * scale
 
 
 def _canonical(g: MPoly, order: tuple) -> MPoly:
@@ -113,11 +113,14 @@ def _canonical(g: MPoly, order: tuple) -> MPoly:
 
 def _integer_part(p: MPoly, idx: list) -> dict:
     """p divided by its content, as integer coefficients on exponent
-    tuples that keep the positions idx of p's."""
+    tuples that keep the positions idx of p's.  When nothing changes, that
+    is p's own terms dict: ``_heuristic`` only reads its inputs."""
     cont = p.content()
-    num, den = cont.numerator, cont.denominator
-    return {tuple(e[i] for i in idx): c.numerator // num * (den // c.denominator)
-            for e, c in p.terms.items()}
+    if cont != 1:
+        p = p * (1 / cont)
+    if len(idx) == len(p.vars):
+        return p.terms
+    return {tuple(e[i] for i in idx): c for e, c in p.terms.items()}
 
 
 def _heuristic(f: dict, g: dict):

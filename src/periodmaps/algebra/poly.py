@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Coefficients are :class:`fractions.Fraction`; monomials are exponent tuples
-aligned with an ordered variable list.  The global term order is graded
-lexicographic with respect to the declared variable order.  Complex floating
-arithmetic only appears at evaluation boundaries.
+A coefficient is a plain ``int`` when it is integral and a
+:class:`fractions.Fraction` (denominator other than 1) only when it is not,
+so integer polynomials, which every recorded elimination works with, pay
+for integer arithmetic alone.  The scalar accessors (``leading_coeff``,
+``constant_term``, ``content``, ``eval_exact``) return ``Fraction``.
+Monomials are exponent tuples aligned with an ordered variable list.  The
+global term order is graded lexicographic with respect to the declared
+variable order.  Complex floating arithmetic only appears at evaluation
+boundaries.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, sub, truediv
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
 from ..errors import ArityError, InexactDivisionError, NonFiniteError, ParseError
@@ -19,12 +25,32 @@ from ..errors import ArityError, InexactDivisionError, NonFiniteError, ParseErro
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _exact(c) -> Scalar:
+    """c in canonical form: an int when integral, else a Fraction."""
+    if c.__class__ is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact rational coefficient: {c!r}")
+
+
+def _demoted(terms: dict) -> dict:
+    """terms with each integral Fraction value made an int, in place."""
+    for e, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly, in canonical form: int // int when b divides a."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a, b))
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -47,7 +73,8 @@ class MPoly:
     """Immutable sparse polynomial.
 
     ``vars`` is the ordered variable tuple; ``terms`` maps exponent tuples
-    (one entry per variable) to nonzero Fraction coefficients.
+    (one entry per variable) to nonzero coefficients: an ``int`` when
+    integral, else a ``Fraction`` (never one with denominator 1).
     """
 
     __slots__ = ("vars", "terms", "_hash", "_plan", "_exact_plan", "_coeffs")
@@ -56,7 +83,7 @@ class MPoly:
         vs = tuple(variables)
         clean = {}
         for exps, c in terms.items():
-            c = _as_fraction(c)
+            c = _exact(c)
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -64,9 +91,9 @@ class MPoly:
                 raise ValueError("exponent tuple length does not match variable count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
+            clean[exps] = clean.get(exps, 0) + c
         self.vars = vs
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        self.terms = _demoted({e: c for e, c in clean.items() if c != 0})
         self._hash = None
         self._plan = None
         self._exact_plan = None
@@ -80,8 +107,9 @@ class MPoly:
 
         The caller guarantees what ``__init__`` would check: ``variables``
         is a tuple, every key of ``terms`` is a tuple of ``len(variables)``
-        non-negative ints, every value is a nonzero Fraction, and ``terms``
-        is a fresh dict the caller does not keep.
+        non-negative ints, every value is a nonzero coefficient in canonical
+        form (see ``MPoly``), and ``terms`` is a fresh dict the caller does
+        not keep.
         """
         p = object.__new__(cls)
         p.vars = variables
@@ -99,7 +127,7 @@ class MPoly:
     @classmethod
     def const(cls, c: Scalar, variables: Sequence[str] = ()) -> "MPoly":
         vs = tuple(variables)
-        c = _as_fraction(c)
+        c = _exact(c)
         return cls._make(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
@@ -108,7 +136,7 @@ class MPoly:
         if name not in vs:
             raise ValueError(f"variable {name!r} not among {vs}")
         exps = tuple(1 if v == name else 0 for v in vs)
-        return cls._make(vs, {exps: Fraction(1)})
+        return cls._make(vs, {exps: 1})
 
     # -- variable bookkeeping ------------------------------------------
 
@@ -176,10 +204,12 @@ class MPoly:
                 terms[exps] = c
             else:
                 s += c
-                if s:
+                if not s:
+                    del terms[exps]
+                elif s.__class__ is int or s.denominator != 1:
                     terms[exps] = s
                 else:
-                    del terms[exps]
+                    terms[exps] = s.numerator
         return MPoly._make(p.vars, terms)
 
     def __add__(self, other):
@@ -198,27 +228,17 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact(other)
             if c == 0:
                 return MPoly.zero(self.vars)
-            return MPoly._make(self.vars,
-                               {e: cc * c for e, cc in self.terms.items()})
+            if c == 1:
+                return self
+            return MPoly._make(self.vars, _demoted(
+                {e: cc * c for e, cc in self.terms.items()}))
         if not isinstance(other, MPoly):
             return NotImplemented
         p, q = MPoly.align(self, other)
-        terms = {}
-        get = terms.get
-        q_terms = q.terms.items()
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q_terms:
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = get(e)
-                terms[e] = c if s is None else s + c
-        zeros = [e for e, c in terms.items() if not c]
-        for e in zeros:
-            del terms[e]
-        return MPoly._make(p.vars, terms)
+        return sum_of_products(((p, q),), p.vars)
 
     __rmul__ = __mul__
 
@@ -268,10 +288,10 @@ class MPoly:
 
     def leading_coeff(self) -> Fraction:
         lt = self.leading()
-        return Fraction(0) if lt is None else lt[1]
+        return Fraction(0 if lt is None else lt[1])
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.terms.get((0,) * len(self.vars), 0))
 
     def sorted_terms(self):
         """Terms in descending graded lex order."""
@@ -312,7 +332,7 @@ class MPoly:
         for exps, c in self.terms.items():
             if exps[i]:
                 terms[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c * exps[i]
-        return MPoly._make(self.vars, terms)
+        return MPoly._make(self.vars, _demoted(terms))
 
     # -- normalization ---------------------------------------------------
 
@@ -320,20 +340,17 @@ class MPoly:
         """Positive rational c with self/c integer, coprime coefficients."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        cs = self.terms.values()
+        return Fraction(math.gcd(*(c.numerator for c in cs)),
+                        math.lcm(*(c.denominator for c in cs
+                                   if c.__class__ is not int)))
 
     def primitive(self) -> "MPoly":
         """self divided by its content, leading coefficient made positive."""
-        c = self.content()
-        if c == 0:
+        if not self.terms:
             return self
-        p = self * (1 / c)
-        if p.leading_coeff() < 0:
+        p = self * (1 / self.content())
+        if p.leading()[1] < 0:
             p = -p
         return p
 
@@ -342,7 +359,7 @@ class MPoly:
     def subs_values(self, bindings: Mapping[str, Scalar]) -> "MPoly":
         """Exact substitution of rational values for a subset of variables."""
         keep = [v for v in self.vars if v not in bindings]
-        vals = {self.vars.index(v): _as_fraction(c) for v, c in bindings.items()
+        vals = {self.vars.index(v): _exact(c) for v, c in bindings.items()
                 if v in self.vars}
         terms = {}
         kidx = [i for i, v in enumerate(self.vars) if v not in bindings]
@@ -352,7 +369,7 @@ class MPoly:
                 if exps[i]:
                     f *= val ** exps[i]
             ne = tuple(exps[i] for i in kidx)
-            terms[ne] = terms.get(ne, Fraction(0)) + f
+            terms[ne] = terms.get(ne, 0) + f
         return MPoly(keep, terms)
 
     # -- evaluation --------------------------------------------------------
@@ -392,8 +409,9 @@ class MPoly:
         """Numeric value at a complex point (positional, aligned with vars).
 
         The float plan is compiled on first use and kept.  Its leaves are
-        complex(c), which is how a Fraction enters complex arithmetic, so
-        the value is the one a walk over the Fraction terms would give.
+        complex(c), which is how an int or a Fraction enters complex
+        arithmetic, so the value is the one a walk over the terms would
+        give.
         """
         return self.eval_values([complex(c) for c in point[:len(self.vars)]])
 
@@ -410,15 +428,29 @@ class MPoly:
         return check_finite(_horner(plan, values))
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point; like eval, the Fraction plan
+        """Exact value at a rational point; like eval, the exact plan
         is compiled on first use and kept."""
         if self._exact_plan is None:
-            self._exact_plan = self._compile(_as_fraction)
+            self._exact_plan = self._compile(_exact)
         need, plan = self._exact_plan
         if len(point) < need:
             raise _arity_error(point, need)
-        values = [_as_fraction(c) for c in point[:len(self.vars)]]
-        return _horner(plan, values)
+        values = [_exact(c) for c in point[:len(self.vars)]]
+        return Fraction(_horner(plan, values))
+
+    def abs_coeffs(self) -> "MPoly":
+        """self with each coefficient c replaced by |c|.
+
+        Its float plan is self's with each leaf l made complex(abs(l.real)),
+        not a second compile: the leaves are real and float rounding is
+        symmetric, so the floats are those of compiling the copy anew.
+        """
+        if self._plan is None:
+            self._plan = self._compile(complex)
+        need, plan = self._plan
+        q = MPoly._make(self.vars, {e: abs(c) for e, c in self.terms.items()})
+        q._plan = need, _abs_plan(plan)
+        return q
 
     def max_abs_coeff(self) -> float:
         return max((abs(float(c)) for c in self.terms.values()), default=0.0)
@@ -449,6 +481,15 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.vars}, {self})"
+
+
+def _abs_plan(node):
+    """A float plan node with each leaf l replaced by complex(abs(l.real))."""
+    if node.__class__ is not tuple:
+        return complex(abs(node.real))
+    i, first, steps, last = node
+    return (i, _abs_plan(first),
+            tuple((gap, _abs_plan(child)) for gap, child in steps), last)
 
 
 def _horner(node, values):
@@ -576,15 +617,42 @@ def parse_poly(text: str, variables: Sequence[str] = None) -> MPoly:
     return result
 
 
+def sum_of_products(pairs, variables: tuple) -> MPoly:
+    """The sum of a * b over the pairs (a, b), each a a polynomial on the
+    variable tuple variables and each b one too or a coefficient: the
+    products go straight into one dict, not into one dict each that a
+    chain of additions then copies."""
+    terms = {}
+    get = terms.get
+    for a, b in pairs:
+        if not isinstance(b, MPoly):
+            for e, c in a.terms.items():
+                c = c * b
+                s = get(e)
+                terms[e] = c if s is None else s + c
+            continue
+        b_terms = b.terms.items()
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b_terms:
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                s = get(e)
+                terms[e] = c if s is None else s + c
+    for e in [e for e, c in terms.items() if not c]:
+        del terms[e]
+    return MPoly._make(variables, _demoted(terms))
+
+
 def exact_divide(p: MPoly, f: MPoly) -> MPoly:
     """Exact quotient q with q*f == p; raises with the remainder otherwise."""
     if f.is_zero():
         raise InexactDivisionError("division by the zero polynomial", remainder=p)
     p, f = MPoly.align(p, f)
-    quotient, rem = divide_terms(p.terms, f.terms, truediv)
+    quotient, rem = divide_terms(p.terms, f.terms, _quotient)
     if rem:
-        raise InexactDivisionError("non-exact polynomial division",
-                                   remainder=MPoly._make(p.vars, rem))
+        raise InexactDivisionError(
+            "non-exact polynomial division",
+            remainder=MPoly._make(p.vars, _demoted(rem)))
     return MPoly._make(p.vars, quotient)
 
 
@@ -598,19 +666,32 @@ def divide_terms(dividend: dict, divisor: dict, divide):
     division stops, leaving a nonzero remainder, at the first negative
     exponent or the first coefficient for which divide gives None; the
     remainder is empty exactly when divisor divides dividend.
+
+    The leading terms come from a heap of the remainder's monomials, keyed
+    by negated degree and exponents (after Monagan and Pearce, *Sparse
+    polynomial division using a heap*, J. Symbolic Comput. 2011), not a
+    scan per step.  A monomial enters the heap each time it enters the
+    remainder; one that has cancelled is skipped when it comes up (lazy
+    deletion).  A leading monomial, once divided off, never comes back:
+    every later one is smaller in graded lex.
     """
     lt_f = max(divisor, key=grlex_key)
     lc_f = divisor[lt_f]
     f_terms = divisor.items()
     rem = dict(dividend)
     get = rem.get
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapify(heap)
     quotient = {}
-    while rem:
-        lt_r = max(rem, key=grlex_key)
+    while heap:
+        lt_r = heappop(heap)[2]
+        lc_r = get(lt_r)
+        if lc_r is None:
+            continue
         diff = tuple(map(sub, lt_r, lt_f))
         if any(d < 0 for d in diff):
             break
-        qc = divide(rem[lt_r], lc_f)
+        qc = divide(lc_r, lc_f)
         if qc is None:
             break
         quotient[diff] = qc
@@ -619,6 +700,7 @@ def divide_terms(dividend: dict, divisor: dict, divide):
             s = get(m)
             if s is None:
                 rem[m] = -qc * c
+                heappush(heap, (-sum(m), tuple(map(neg, m)), m))
             else:
                 s -= qc * c
                 if s:

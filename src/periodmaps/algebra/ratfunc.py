@@ -9,7 +9,7 @@ from typing import Mapping, Sequence, Union
 
 from ..errors import PoleError
 from .gcd import cofactors
-from .poly import MPoly
+from .poly import MPoly, sum_of_products
 
 POLE_REL = 1e-12
 
@@ -153,7 +153,7 @@ def compose_parts(p: MPoly,
 
     Each num_v^e * den_v^(deg_v - e) is built once per call and multiplies
     the sum of all terms of p that share its power (Horner-like, variable
-    by variable).  Both results have the variables p uses, each substituted
+    by variable); the products of one level are summed in one dict.  Both results have the variables p uses, each substituted
     one replaced in place by those of its value: num_v's, then those of
     den_v that num_v lacks.
     """
@@ -184,10 +184,8 @@ def compose_parts(p: MPoly,
         groups = {}
         for item in items:
             groups.setdefault(item[0][i], []).append(item)
-        total = MPoly.zero(order)
-        for e, group in groups.items():
-            total = total + factor[e] * horner(group, k + 1)
-        return total
+        return sum_of_products(((factor[e], horner(group, k + 1))
+                                for e, group in groups.items()), order)
 
     num = horner(list(p.terms.items()), 0) if p.terms else 0
     return (num if isinstance(num, MPoly) else MPoly.const(num, order)), den

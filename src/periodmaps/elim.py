@@ -64,7 +64,7 @@ def _residuals(p: MPoly, transitions: Sequence[Transition]):
     multiple of the unit roundoff times that scale, however large the
     monomials are (Higham, *Accuracy and Stability of Numerical
     Algorithms*, sec. 5.1)."""
-    scale = MPoly._make(p.vars, {e: abs(c) for e, c in p.terms.items()})
+    scale = p.abs_coeffs()
     for t in transitions:
         yield (abs(_eval_at(p, t)),
                _eval_at(scale, {v: abs(z) for v, z in t.items()}).real)

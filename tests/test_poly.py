@@ -1,12 +1,17 @@
 """Ring and parser properties of the sparse polynomial kernel."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import Phase, given, settings, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
-from periodmaps.algebra import MPoly, divides, exact_divide, parse_poly
+from periodmaps.algebra import MPoly, divides, exact_divide, parse_poly, poly
+from periodmaps.algebra.poly import divide_terms, grlex_key
 from periodmaps.errors import ArityError, InexactDivisionError, ParseError
 
 VARS = ("x", "y", "z")
@@ -125,12 +130,14 @@ def test_inexact_division_reports_remainder():
 
 
 def _assert_canonical(r: MPoly):
-    """The kernel invariant: validated keys, nonzero Fraction coefficients."""
+    """The kernel invariant: validated keys; nonzero coefficients, each an
+    int, or a Fraction only when it is not integral."""
     assert isinstance(r.vars, tuple)
     for exps, c in r.terms.items():
         assert isinstance(exps, tuple) and len(exps) == len(r.vars)
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
     assert MPoly(r.vars, r.terms).terms == r.terms
 
 
@@ -154,6 +161,59 @@ def test_ring_operations_keep_the_kernel_invariant(p, q, c, n, v):
         _assert_canonical(r)
 
 
+int_coeffs = st.integers(-50, 50).filter(lambda c: c != 0)
+
+
+@st.composite
+def int_polys(draw, max_terms=6):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        terms[draw(exponents)] = draw(int_coeffs)
+    return MPoly(VARS, terms)
+
+
+def _all_int(r: MPoly) -> bool:
+    return all(type(c) is int for c in r.terms.values())
+
+
+@LIGHT
+@given(int_polys(), int_polys(), st.integers(0, 3), st.sampled_from(VARS))
+def test_integer_inputs_give_int_coefficients(p, q, n, v):
+    results = [p * q, p + q, p - q, -p, p ** n, p * 3, p.primitive(),
+               p.derivative(v), (p * Fraction(2, 3)) * Fraction(3, 2)]
+    if not q.is_zero():
+        results.append(exact_divide(p * q, q))
+        results.append(exact_divide(p * q, q.primitive()))
+    for r in results:
+        _assert_canonical(r)
+        assert _all_int(r)
+
+
+def test_integral_sums_of_fractions_become_ints():
+    half = MPoly.const(Fraction(1, 2), ("x",))
+    x = MPoly.var("x")
+    for r in (half + half, (x * half) * 2, half * MPoly.const(2, ("x",)),
+              exact_divide(x * 3, MPoly.const(Fraction(3, 2), ("x",))),
+              parse_poly("4/2*x + 6/3"), MPoly(("x",), {(1,): Fraction(4, 2)}),
+              (x * Fraction(1, 3)).derivative("x") * 3):
+        _assert_canonical(r)
+        assert _all_int(r)
+
+
+@LIGHT
+@given(int_polys(), polys(), st.tuples(*[st.integers(-5, 5)] * 3))
+def test_scalar_accessors_return_fractions(p, q, point):
+    for r in (p, q, MPoly.zero(VARS)):
+        for value in (r.leading_coeff(), r.constant_term(), r.content(),
+                      r.eval_exact(list(point)),
+                      r.eval_exact([Fraction(c, 2) for c in point])):
+            assert type(value) is Fraction
+    if not p.is_zero():
+        # a quotient of two accessors stays exact
+        assert p.leading_coeff() / p.content() == Fraction(
+            p.leading()[1], math.gcd(*p.terms.values()))
+
+
 def test_public_constructor_validates_its_input():
     with pytest.raises(ValueError):
         MPoly(("x", "y"), {(1,): 1})
@@ -170,7 +230,8 @@ def test_public_constructor_validates_its_input():
     with pytest.raises(ValueError):
         MPoly.var("z", ("x", "y"))
     for r in (zero, MPoly.const(3, ("x", "y")), MPoly.const(Fraction(1, 2)),
-              MPoly.var("y", ("x", "y")), MPoly.var("x")):
+              MPoly.var("y", ("x", "y")), MPoly.var("x"),
+              MPoly(("x",), {(1,): True}), MPoly.const(Fraction(6, 3))):
         _assert_canonical(r)
 
 
@@ -240,6 +301,162 @@ def test_exact_divide_rejects_a_non_multiple(pair, r):
     _, theirs = sympy.div(_to_sympy(p - rem), _to_sympy(f))
     assert theirs.is_zero
     assert not sympy.div(_to_sympy(p), _to_sympy(f))[1].is_zero
+
+
+# * and exact_divide against sympy's sparse ring at the sizes lv3 p4 and p5
+# reach: products of 150 to 2,700 terms
+SYM_RING = ring(",".join(SYM_VARS), QQ)[0]
+
+
+def _factor(rng, n):
+    """n terms in SYM_VARS with exponents up to 6; three coefficients in
+    four are integers."""
+    keys = set()
+    while len(keys) < n:
+        keys.add(tuple(rng.randint(0, 6) for _ in SYM_VARS))
+    return MPoly(SYM_VARS, {
+        k: rng.choice((rng.randint(-99, 99), rng.randint(-99, 99),
+                       rng.randint(-99, 99),
+                       Fraction(rng.randint(-99, 99), rng.randint(2, 5))))
+        or 1 for k in sorted(keys)})
+
+
+def _to_ring(p: MPoly):
+    return SYM_RING.from_dict({e: QQ(c.numerator, c.denominator)
+                               for e, c in p.terms.items()})
+
+
+def _from_ring(P) -> MPoly:
+    return MPoly(SYM_VARS, {e: Fraction(int(QQ.numer(c)), int(QQ.denom(c)))
+                            for e, c in P.items()})
+
+
+@st.composite
+def large_factor_pairs(draw):
+    """(g, f): g with 14 to 90 terms, f with 15 to 30, from a drawn seed,
+    so g * f has between 150 and 2,700 terms."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return _factor(rng, rng.randint(14, 90)), _factor(rng, rng.randint(15, 30))
+
+
+LARGE_ORACLE = settings(max_examples=6, deadline=None,
+                        phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+@LARGE_ORACLE
+@given(large_factor_pairs())
+def test_large_products_match_sympy(pair):
+    g, f = pair
+    p = g * f
+    assert 150 <= len(p.terms) <= 2700
+    assert p == _from_ring(_to_ring(g) * _to_ring(f))
+    _assert_canonical(p)
+
+
+@LARGE_ORACLE
+@given(large_factor_pairs())
+def test_large_exact_divisions_match_sympy(pair):
+    g, f = pair
+    p = g * f
+    theirs = _to_ring(p).exquo(_to_ring(f))
+    for q in (exact_divide(p, f), exact_divide(p, g * f.leading_coeff())):
+        _assert_canonical(q)
+    assert exact_divide(p, f) == _from_ring(theirs) == g
+
+
+def _scan_division(p: MPoly, f: MPoly):
+    """(quotient, remainder) by the division loop before the heap: the
+    remainder's leading term by a max scan per step, Fraction arithmetic."""
+    rem = {e: Fraction(c) for e, c in p.terms.items()}
+    lt_f = f.leading()[0]
+    lc_f = f.leading_coeff()
+    quotient = {}
+    while rem:
+        lt_r = max(rem, key=grlex_key)
+        diff = tuple(a - b for a, b in zip(lt_r, lt_f))
+        if min(diff) < 0:
+            break
+        qc = rem[lt_r] / lc_f
+        quotient[diff] = qc
+        for e, c in f.terms.items():
+            m = tuple(a + b for a, b in zip(diff, e))
+            s = rem.get(m, 0) - qc * c
+            if s:
+                rem[m] = s
+            else:
+                rem.pop(m, None)
+    return quotient, rem
+
+
+@LIGHT
+@given(polys(), nonzero_polys, polys(max_terms=3))
+def test_division_matches_the_scan_loop(g, f, r):
+    """Quotient when exact, else the remainder at the stop, the same as
+    the loop that scanned for the leading term."""
+    p = g * f + r
+    quotient, rem = _scan_division(p, f)
+    try:
+        got = exact_divide(p, f)
+    except InexactDivisionError as err:
+        assert rem and err.remainder.terms == rem
+        _assert_canonical(err.remainder)
+    else:
+        assert not rem and got.terms == quotient
+
+
+def _recording_pushes(monkeypatch):
+    pushed = []
+    push = poly.heappush
+
+    def recording(heap, item):
+        pushed.append(item[-1])
+        push(heap, item)
+    monkeypatch.setattr(poly, "heappush", recording)
+    return pushed
+
+
+def test_a_cancelled_monomial_that_comes_back_is_divided_off(monkeypatch):
+    """x^2 of the dividend cancels at the first step and comes back at the
+    second; its first heap entry is then stale, and the division is exact."""
+    pushed = _recording_pushes(monkeypatch)
+    p = parse_poly("x^4 + 2*x^3 + x^2 - 1")
+    q = exact_divide(p, parse_poly("x^2 + x + 1"))
+    assert q == parse_poly("x^2 + x - 1")
+    assert (2,) in pushed
+    _assert_canonical(q)
+
+
+def test_a_monomial_that_comes_back_stays_in_the_remainder(monkeypatch):
+    """x cancels at the first step and comes back at the second, where the
+    division stops: the remainder is -x, as the scan loop gives."""
+    pushed = _recording_pushes(monkeypatch)
+    p, f = parse_poly("x^3 + 2*x^2 + x + 1"), parse_poly("x^2 + x + 1")
+    with pytest.raises(InexactDivisionError) as err:
+        exact_divide(p, f)
+    assert err.value.remainder == parse_poly("-x")
+    assert err.value.remainder.terms == _scan_division(p, f)[1]
+    assert (1,) in pushed
+
+
+def test_integer_division_stops_at_a_leading_coefficient_that_does_not_divide():
+    from periodmaps.algebra.gcd import _int_divide, _int_quotient
+    two_x_plus_one = {(1,): 2, (0,): 1}
+    assert _int_divide({(2,): 2, (1,): 3, (0,): 1}, two_x_plus_one) == {
+        (1,): 1, (0,): 1}
+    # 2x^2 + 2x + 1: x divides off, then 1 is not a multiple of 2
+    f = {(2,): 2, (1,): 2, (0,): 1}
+    assert divide_terms(f, two_x_plus_one, _int_quotient) == (
+        {(1,): 1}, {(1,): 1, (0,): 1})
+    assert _int_divide(f, two_x_plus_one) is None
+    # over Q the division goes on, to the remainder 1/2
+    with pytest.raises(InexactDivisionError) as err:
+        exact_divide(MPoly(("x",), f), MPoly(("x",), two_x_plus_one))
+    assert err.value.remainder.terms == {(0,): Fraction(1, 2)}
+    # x + 1 by 2x + 2 stops at once over Z and is 1/2 over Q
+    assert divide_terms({(1,): 1, (0,): 1}, {(1,): 2, (0,): 2},
+                        _int_quotient) == ({}, {(1,): 1, (0,): 1})
+    assert exact_divide(parse_poly("x + 1"), parse_poly("2*x + 2")) == (
+        MPoly.const(Fraction(1, 2), ("x",)))
 
 
 def test_derivative_product_rule():
@@ -367,6 +584,38 @@ def test_a_second_eval_reuses_the_compiled_plan(monkeypatch):
     assert p.eval_exact(point) == exact
     p.eval_exact([1, 2, 3])
     assert len(calls) == 2
+
+
+@LIGHT
+@given(polys_and_points())
+def test_abs_coeffs_evaluates_as_a_fresh_compile(case):
+    """The |c| copy's mapped plan gives the bits of compiling it anew."""
+    p, point = case
+    fresh = MPoly(p.vars, {e: abs(c) for e, c in p.terms.items()})
+    at = [abs(complex(z)) for z in point]
+    copy = p.abs_coeffs()
+    assert copy == fresh
+    got, want = copy.eval(at), fresh.eval(at)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
+                                                want.imag.hex())
+
+
+def test_abs_coeffs_compiles_nothing_more(monkeypatch):
+    calls = []
+    compile_ = MPoly._compile
+
+    def counting(self, leaf):
+        calls.append(self)
+        return compile_(self, leaf)
+
+    monkeypatch.setattr(MPoly, "_compile", counting)
+    p = parse_poly("-3/7*x^3*y + x*z^2 - 5", ("x", "y", "z"))
+    copy = p.abs_coeffs()
+    assert calls == [p]
+    assert copy == parse_poly("3/7*x^3*y + x*z^2 + 5", ("x", "y", "z"))
+    assert copy.eval([1, 2, 0.5]) == pytest.approx(6 / 7 + 0.25 + 5)
+    p.abs_coeffs()
+    assert calls == [p]
 
 
 def test_rational_function_eval_converts_the_point_once(monkeypatch):
