@@ -1,8 +1,9 @@
 """Symmetric biquadratic correspondences S(X, x) = 0.
 
 The correspondence is quadratic in each argument and symmetric under
-X <-> x, so it is 2-valued with a forward and a backward traversal route.
-Iteration preserves the shape and only moves the six parameters.
+X <-> x, so it is 2-valued with a forward and a backward traversal route;
+``follow`` walks one of them.  A correspondence whose six parameters lie
+on gamma^(n) = 0 closes up after n steps.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import random
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
-from .algebra import (MPoly, compose_parts, exact_divide, parse_poly,
-                      resultant, roots, root_sort_key)
-from .errors import (DegenerateParameterError, EliminationError,
-                     InexactDivisionError, RootFindingError)
+from .algebra import MPoly, parse_poly, roots, root_sort_key
+from .data import VARIETIES
+from .errors import DegenerateParameterError, RootFindingError
 
 PARAM_NAMES = ("a", "b", "c", "d", "e", "f")
 BRANCH_TOL = 1e-9       # relative size below which an X-coefficient is zero
@@ -99,22 +99,10 @@ def follow(q: BiquadParams, x0: complex, steps: int, branch: int = 0):
 
 # ------------------------------------------------------------- generators
 
-GAMMA3 = parse_poly("a*f - b*e - 3*c^2 + c*d", PARAM_NAMES)
-
-GAMMA4 = parse_poly(
-    "2*a*c*f - a*d*f + b^2*f + a*e^2 - 2*c^3 + c^2*d - 2*b*c*e", PARAM_NAMES)
-
-GAMMA5 = parse_poly(
-    "a^3*f^3"
-    " + (-c*f^2*d + 2*c*f*e^2 + f*d*e^2 - 3*e*b*f^2 - e^4 - c^2*f^2)*a^2"
-    " + (-13*c^4*f + 18*c^3*f*d + d*e^3*b + 2*c*f^2*b^2 + 7*d*c^2*e^2"
-    "    - c*e^2*d^2 - 2*c*e^3*b + 2*c^2*f*e*b - 7*f*d^2*c^2 - 14*c^3*e^2"
-    "    + c*d^3*f + f*b^2*e^2 + f^2*d*b^2 - e*b*d^2*f)*a"
-    " - c*d^2*b^2*f - b^3*e^3 - 4*c^3*d*e*b + c*d*b^2*e^2 + 13*e*c^4*b"
-    " - f^2*b^4 + 7*f*b^2*c^2*d + c^4*d^2 - 5*c^5*d + 5*c^6 - 2*f*b^3*e*c"
-    " - e^2*c^2*b^2 + e*b^3*d*f - 14*f*b^2*c^3", PARAM_NAMES)
-
-GAMMAS = {3: GAMMA3, 4: GAMMA4, 5: GAMMA5}
+# the period-n generators gamma^(n), in the six parameters: the "pencil"
+# texts the qrt entry of varieties.json records
+GAMMAS = {int(n): parse_poly(text, PARAM_NAMES)
+          for n, (text,) in VARIETIES["qrt"]["periods"].items()}
 
 
 def gamma_biquad(n: int, q: BiquadParams):
@@ -127,16 +115,9 @@ def gamma_biquad(n: int, q: BiquadParams):
     return GAMMAS[n].eval([complex(c) for c in q])
 
 
-def from_3dlv(r, s) -> BiquadParams:
-    """Biquadratic parameters realizing the 3d Lotka-Volterra reduction."""
-    r = Fraction(r)
-    s = Fraction(s)
-    return (r + 1, s - 2 * r - 1, r - s,
-            s ** 2 + r * s + 5 * r - 2 * s + 1, -r * (s + 1), Fraction(0))
-
-
 def from_3dlv_symbolic() -> tuple:
-    """The same identification with (r, s) kept symbolic."""
+    """Biquadratic parameters realizing the 3d Lotka-Volterra reduction,
+    as polynomials in its invariants (r, s)."""
     r = MPoly.var("r")
     s = MPoly.var("s")
     one = MPoly.const(1)
@@ -168,7 +149,7 @@ def sample_on_gamma(n: int, seed: int):
             f = -coeffs[0].constant_term() / coeffs[1].constant_term()
             q = (a, b, c, d, e, f)
         else:
-            g = GAMMA5.subs_values({"a": a, "b": b, "c": c, "d": d, "e": e})
+            g = GAMMAS[5].subs_values({"a": a, "b": b, "c": c, "d": d, "e": e})
             dense = [cc.constant_term() for cc in g.as_univariate("f")]
             try:
                 fs = roots([complex(cc) for cc in reversed(dense)], tol=1e-8)
@@ -185,91 +166,3 @@ def sample_on_gamma(n: int, seed: int):
             return q
     raise DegenerateParameterError(
         f"could not draw parameters on gamma^{n} = 0 for seed {seed}")
-
-
-# ------------------------------------------------------------- composition
-
-def compose(q: BiquadParams) -> BiquadParams:
-    """Parameters of the two-step correspondence.
-
-    Resultant in the middle variable, exact removal of the backtracking
-    factor (X - x)^2, then a numeric contract check on eight seeded
-    two-step transitions.
-    """
-    q = coerce_params(q)
-    if not is_exact(q):
-        raise DegenerateParameterError(
-            "compose needs exact rational parameters")
-    s_out = s_poly(q, "X", "y")       # S(X, y)
-    s_in = s_poly(q, "y", "x")        # S(y, x)
-    if s_out.degree("y") == 0 or s_in.degree("y") == 0:
-        raise DegenerateParameterError(
-            "correspondence is constant in the chained variable")
-    R = resultant(s_out, s_in, "y")
-    if R.is_zero():
-        raise EliminationError("two-step resultant collapsed to zero")
-    back = parse_poly("(X - x)^2", ("X", "x"))
-    try:
-        T = exact_divide(R, back)
-    except InexactDivisionError as exc:
-        raise EliminationError(
-            "backtracking factor does not split off the two-step resultant",
-            witnesses=R) from exc
-    # degenerate when the remaining factor still vanishes on the diagonal
-    diag = compose_parts(T, {"X": MPoly.var("x")})[0]
-    if diag.is_zero():
-        raise DegenerateParameterError(
-            "two-step correspondence degenerates to the identity")
-    q2 = _read_biquad_form(T)
-    _check_two_step(q, q2)
-    return q2
-
-
-def _read_biquad_form(T: MPoly) -> BiquadParams:
-    T = T.with_vars(("X", "x"))
-    allowed = {(2, 2), (2, 1), (1, 2), (2, 0), (0, 2), (1, 1), (1, 0),
-               (0, 1), (0, 0)}
-    if any(e not in allowed for e in T.terms):
-        raise EliminationError(
-            "residual factor is not in the six-parameter symmetric form",
-            witnesses=T)
-    get = lambda i, j: T.terms.get((i, j), Fraction(0))
-    a2 = get(2, 2)
-    b2 = get(2, 1)
-    c2 = get(2, 0)
-    e2 = get(1, 0)
-    if b2 != get(1, 2) or c2 != get(0, 2) or e2 != get(0, 1):
-        raise EliminationError(
-            "residual factor is not symmetric under X <-> x", witnesses=T)
-    d2 = get(1, 1) + 2 * c2
-    f2 = get(0, 0)
-    q2 = (a2, b2, c2, d2, e2, f2)
-    scale = T.content()
-    if scale:
-        q2 = tuple(c / scale for c in q2)
-    return coerce_params(q2)
-
-
-def _check_two_step(q: BiquadParams, q2: BiquadParams):
-    rng = random.Random("biquad-compose:" + ",".join(str(c) for c in q))
-    checked = 0
-    attempts = 0
-    scale = max(abs(complex(c)) for c in q2)
-    while checked < 8 and attempts < 200:
-        attempts += 1
-        x0 = complex(Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
-                     Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
-        try:
-            for branch in range(len(solve_branches(q, x0))):
-                orbit = follow(q, x0, 2, branch=branch)
-                res = abs(s_value(q2, orbit[2], x0))
-                if res > 1e-8 * (1 + scale) * (1 + abs(x0)) ** 4:
-                    raise EliminationError(
-                        f"two-step contract violated: residual {res}",
-                        witnesses=(q, q2, x0))
-        except (DegenerateParameterError, RootFindingError):
-            continue
-        checked += 1
-    if checked < 8:
-        raise EliminationError(
-            "could not validate the two-step contract numerically")

@@ -451,7 +451,9 @@ MAPS = {
         relations=_moebius2d_relations),
     "qrt": MapSpec(_build_qrt, accepts=("qp", "qpp"),
                    six_vectors=("qp", "qpp"), required=("qp", "qpp"),
-                   advertised=("qp", "qpp")),
+                   advertised=("qp", "qpp"),
+                   eliminations={"qrt": {n: (("X", ("y",)),)
+                                         for n in (3, 4, 5)}}),
 }
 
 MAP_NAMES = tuple(MAPS)
@@ -496,15 +498,20 @@ def check_params(name: str, params) -> None:
                 f"{name} takes no parameter {key!r}; accepted: {list(accepts)}")
 
 
-def transition_params(target: str):
+def transition_params(target: str, params: dict = None):
     """(map, parameters) whose transitions elimination samples for target.
 
-    A target that no spec lists samples its own map with no parameters.
+    A family with symbolic relations derives for all its members at once,
+    so it samples at the values its spec records, and so does a member
+    that spec lists.  Any other map samples at the parameters given, or at
+    the recorded ones when none are given; a target that no spec lists
+    samples its own map.
     """
     for name, spec in MAPS.items():
-        if target in spec.transitions:
+        if target in spec.transitions and (
+                params is None or spec.relations is not None):
             return name, dict(spec.transitions[target])
-    return target, None
+    return target, params
 
 
 def elimination_setups(target: str, period: int):
@@ -586,15 +593,20 @@ def invariants_eval(m: IntegrableMap, p: Sequence[complex]):
     return [h.eval(pt) for h in m.invariants]
 
 
+def params_json(params: dict) -> dict:
+    """Parameter values as JSON: a rational as its text, a six-vector as
+    the list of its entries' texts."""
+    return {k: (str(v) if isinstance(v, Fraction) else [str(c) for c in v])
+            for k, v in params.items()}
+
+
 def descriptor(m: IntegrableMap) -> dict:
     """JSON-serializable description of the map."""
     return {
         "name": m.name,
         "d": m.d,
         "vars": list(m.varnames),
-        "params": {k: (str(v) if isinstance(v, Fraction)
-                       else [str(c) for c in v])
-                   for k, v in m.params.items()},
+        "params": params_json(m.params),
         "components": None if m.components is None
         else [str(c) for c in m.components],
         "invariants": {n: str(h)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import varieties as V
 from .algebra import equal_up_to_scale
 from .catalog import (MAP_NAMES, MAPS, catalog_get, check_params, descriptor,
-                      elimination_setups)
+                      elimination_setups, params_json)
 from .elim import check_fixture, default_transitions, derive, fixtures_for
 from .errors import (MissingParameterError, NotRecordedError,
                      PeriodmapsError, UnknownMapError, UnknownVarietyError)
@@ -221,15 +221,14 @@ def cmd_eliminate(args) -> int:
     except NotRecordedError:
         fixes = None            # derivable, but nothing recorded to match
     try:
-        transitions = default_transitions(name, args.period)
+        transitions = default_transitions(name, args.period, params)
     except PeriodmapsError:
         transitions = None
     results = derive(name, args.period, transitions=transitions,
-                     tol=args.tol)
+                     tol=args.tol, params=params)
     targets = [(fix.index, fix.F) for fix in fixes or ()]
     if params:
-        # the family's recurrences at the given parameter values
-        results = [r.subs_values(params).primitive() for r in results]
+        # the family's recorded recurrences at the given parameter values
         targets = [(i, F.subs_values(params).primitive())
                    for i, F in targets]
     verdicts = []
@@ -242,8 +241,7 @@ def cmd_eliminate(args) -> int:
         entry["pass"] = fixes is None or match is not None
         verdicts.append(entry)
     config = {"command": "eliminate", "map": name, "period": args.period,
-              "tol": args.tol, "params": {k: str(v) for k, v in
-                                          (params or {}).items()}}
+              "tol": args.tol, "params": params_json(params or {})}
     _emit(args, _report(args, config, verdicts, t0))
     return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_FAIL
 

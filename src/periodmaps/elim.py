@@ -9,11 +9,9 @@ on-variety transitions and removed by exact division.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
@@ -21,6 +19,7 @@ from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
                       strip_var_monomials)
 from .catalog import (MAPS, apply_map, catalog_get, elimination_setups,
                       transition_params)
+from .data import FIXTURES
 from .errors import (BranchSelectionError, EliminationError,
                      InexactDivisionError, NotRecordedError,
                      NothingToEliminateError, PoleError, SamplingError,
@@ -239,15 +238,6 @@ class Fixture:
             raise EliminationError("fixture polynomial is zero")
 
 
-def _load_fixtures() -> dict:
-    with resources.files("periodmaps.data").joinpath(
-            "fixtures.json").open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_FIXTURES = _load_fixtures()
-
-
 def make_transitions(map_name: str, period: int, count: int = 12,
                      params: dict = None,
                      base_seed: int = 0) -> List[Transition]:
@@ -282,20 +272,22 @@ def make_transitions(map_name: str, period: int, count: int = 12,
     return out
 
 
-def standard_problems(map_name: str, period: int) -> List[EliminationProblem]:
+def standard_problems(map_name: str, period: int,
+                      params: dict = None) -> List[EliminationProblem]:
     """The elimination problems the registry records for (map_name, period).
 
     Each solves for one image coordinate from its relation with the point
     and the variety; it keeps every variable of those polynomials that it
-    does not eliminate.
+    does not eliminate.  A map with no symbolic relations is built at the
+    parameters `transition_params` gives for params.
     """
     setups = elimination_setups(map_name, period)
-    owner, params = transition_params(map_name)
+    owner, at = transition_params(map_name, params)
     relations = MAPS[owner].relations
     if relations is not None:
         rels, variety = relations(period)
     else:
-        m = catalog_get(owner, params=params)
+        m = catalog_get(owner, params=at)
         rels = {v.upper(): MPoly.var(v.upper()) * c.den - c.num
                 for v, c in zip(m.varnames, m.components)}
         variety = gamma_get(owner, period, m=m).composed_numerators()
@@ -310,19 +302,29 @@ def standard_problems(map_name: str, period: int) -> List[EliminationProblem]:
 
 def derive(map_name: str, period: int,
            transitions: Optional[Sequence[Transition]] = None,
-           tol: float = TRANSITION_TOL) -> List[MPoly]:
-    """Run the standard eliminations; one result polynomial per setup."""
-    out = [r for prob in standard_problems(map_name, period)
+           tol: float = TRANSITION_TOL, params: dict = None) -> List[MPoly]:
+    """The recurrences of map_name at params, from the standard
+    eliminations; one result polynomial per setup.
+
+    The map is built at params first, so parameters it rejects raise here.
+    A family with symbolic relations derives its recurrences for all
+    members at once and substitutes the member's parameters afterwards:
+    params, or the recorded values of a member its spec lists.  Any other
+    map is derived at params, and nothing is substituted.
+    """
+    if params:
+        catalog_get(map_name, params=params)
+    out = [r for prob in standard_problems(map_name, period, params)
            for r in eliminate(prob, transitions=transitions, tol=tol)]
-    owner, params = transition_params(map_name)
-    if owner != map_name:
-        # a member of a family: the family's recurrences at its parameters
-        out = [r.subs_values(params).primitive() for r in out]
+    owner, at = transition_params(map_name, params)
+    values = params if owner == map_name else at
+    if values and MAPS[owner].relations is not None:
+        out = [r.subs_values(values).primitive() for r in out]
     return out
 
 
 def fixtures_for(map_name: str, period: int) -> List[Fixture]:
-    recorded = _FIXTURES.get(map_name, {})
+    recorded = FIXTURES.get(map_name, {})
     entries = recorded.get(str(period))
     if not entries:
         raise NotRecordedError(
@@ -335,10 +337,11 @@ def fixtures_for(map_name: str, period: int) -> List[Fixture]:
     return out
 
 
-def default_transitions(map_name: str, period: int) -> List[Transition]:
-    """Transitions at the parameter values the catalog records for map_name."""
-    owner, params = transition_params(map_name)
-    return make_transitions(owner, period, params=params)
+def default_transitions(map_name: str, period: int,
+                        params: dict = None) -> List[Transition]:
+    """Transitions at the parameter values `transition_params` gives."""
+    owner, at = transition_params(map_name, params)
+    return make_transitions(owner, period, params=at)
 
 
 def _fixture_residual(fix: Fixture, t: Transition) -> float:

@@ -1,4 +1,4 @@
-"""Moebius parameter dynamics and the derived recurrence family.
+"""Moebius parameter dynamics and the period-n parameter varieties.
 
 One map step sends x to h(x + a)/(1 + bx), the projective action of the
 matrix M = [[h, h*a], [b, 1]].  Composing steps keeps the Moebius shape
@@ -9,7 +9,9 @@ identity.  By Cayley-Hamilton M^n = alpha_n*M - det*alpha_(n-1)*I, with
 alpha_(k+1) = tr*alpha_k - det*alpha_(k-1), alpha_0 = 0, alpha_1 = 1,
 tr = h + 1 and det = h(1 - ab); M itself is not scalar, so the period-n
 condition is alpha_n = 0.  alpha_n with the generators of the proper
-divisors d | n divided out generates the period-n variety.
+divisors d | n divided out generates the period-n variety.  The
+moebius2d map carries h as its invariant, so ``eliminate --map moebius2d``
+derives the family's recurrences F(x, X) from these generators.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MPoly, RatFunc, compose_parts, exact_divide, normalize
+from .algebra import MPoly, RatFunc, exact_divide, normalize
 from .errors import DegenerateFamilyError, DegenerateParameterError
-from .recurrence import RecurrenceRelation
 
 _ABH = ("a", "b", "h")
-# the generators' variable tuple; the relations and recurrences built from
-# them print their monomials in its order
+# the generators' variable tuple; the relations built from them print their
+# monomials in its order
 _HBA = ("h", "b", "a")
 
 
@@ -110,41 +111,3 @@ def derive_gamma(n: int) -> MPoly:
         if n % d == 0:
             g = exact_divide(g, derive_gamma(d))
     return normalize(g)
-
-
-def recurrence_F(n: int, a=None, b=None) -> RecurrenceRelation:
-    """Period-n recurrence polynomial in (x, X).
-
-    With a, b numeric the parameters are substituted exactly; with both
-    None the polynomial keeps a, b as symbols.  Obtained from the
-    parameter-variety generator by h -> X(1 + b x)/(x + a) and clearing
-    (x + a)^deg_h.
-    """
-    gamma = derive_gamma(n)
-    apoly, bpoly = MPoly.var("a"), MPoly.var("b")
-    if a is not None or b is not None:
-        if a is None or b is None:
-            raise ValueError("give both a and b, or neither")
-        a, b = Fraction(a), Fraction(b)
-        if a * b == 1:
-            raise DegenerateParameterError("a*b = 1 collapses the Moebius map")
-        gamma = gamma.subs_values({"a": a, "b": b})
-        apoly, bpoly = MPoly.const(a), MPoly.const(b)
-    x, X = MPoly.var("x"), MPoly.var("X")
-    F = compose_parts(gamma, {"h": (X * (1 + bpoly * x), x + apoly)})[0]
-    # primitive() makes the leading term positive, in the term order the
-    # recorded recurrences were normalised in
-    F = F.with_vars(("b", "a", "X", "x")).primitive()
-    if F.is_zero():
-        raise DegenerateParameterError("recurrence polynomial is zero")
-    varorder = ("x", "X") if a is not None else ("x", "X", "a", "b")
-    return RecurrenceRelation(F=F.with_vars(varorder), period=n,
-                              source="moebius2d")
-
-
-def mu_pair(a, b):
-    """The pair of route multipliers of the period-3 branch maps."""
-    import cmath
-    ab = complex(a) * complex(b)
-    disc = cmath.sqrt((3 + ab) * (ab - 1))
-    return ((1 + ab + disc) / 2, (1 + ab - disc) / 2)

@@ -8,18 +8,17 @@ the stated period.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import (MPoly, RatFunc, coefficient_values, compose_parts,
                       parse_poly, root_sort_key, roots_of_poly,
                       roots_of_values)
 from .catalog import IntegrableMap, catalog_get
+from .data import VARIETIES
 from .errors import (PoleError, RootFindingError, SamplingError,
                      UnknownVarietyError)
 from .qrt import on_pencil
@@ -28,15 +27,6 @@ GRID_DENOM = 8
 GRID_SPAN = 24          # numerators drawn from [-24, 24], i.e. [-3, 3]
 MIN_COORD = 1e-3        # keep draws away from poles and fixed strata
 MEMBER_TOL = 1e-9
-
-
-def _load_catalog() -> dict:
-    with resources.files("periodmaps.data").joinpath(
-            "varieties.json").open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_CATALOG = _load_catalog()
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +80,7 @@ class VarietyGenerator:
 
 
 def available_periods(map_name: str) -> Tuple[int, ...]:
-    entry = _CATALOG.get(map_name)
+    entry = VARIETIES.get(map_name)
     if entry is None:
         return ()
     return tuple(sorted(int(k) for k in entry["periods"]))
@@ -106,7 +96,7 @@ def gamma_get(map_name: str, period: int,
               params: dict = None) -> VarietyGenerator:
     """Variety generator for (map_name, period), parameters substituted;
     one per (map, period)."""
-    entry = _CATALOG.get(map_name)
+    entry = VARIETIES.get(map_name)
     if entry is None or str(period) not in entry["periods"]:
         raise UnknownVarietyError(f"no variety for ({map_name}, {period})",
                                   available=available_periods(map_name))
@@ -120,7 +110,7 @@ def gamma_get(map_name: str, period: int,
 
 @lru_cache(maxsize=None)
 def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
-    entry = _CATALOG[m.name]
+    entry = VARIETIES[m.name]
     symbols = tuple(entry["symbols"])
     texts = entry["periods"][str(period)]
 
@@ -290,7 +280,7 @@ def sample_on_variety(g: VarietyGenerator, seed: int):
 
 def checksum_cases(map_name: str, period: int):
     """Transcription-time spot values recorded alongside the bulky entries."""
-    entry = _CATALOG.get(map_name, {})
+    entry = VARIETIES.get(map_name, {})
     raw = entry.get("checksums", {}).get(str(period), [])
     out = []
     for case in raw:

@@ -13,16 +13,14 @@ import pytest
 
 from periodmaps.algebra import equal_up_to_scale, parse_poly, roots
 from periodmaps.biquad import (
-    GAMMA3, follow, from_3dlv_symbolic, sample_on_gamma)
+    GAMMAS, follow, from_3dlv_symbolic, sample_on_gamma)
 from periodmaps.catalog import apply_map, catalog_get
 from periodmaps.elim import default_transitions, derive, fixtures_for
 from periodmaps.errors import (
     DegenerateParameterError, PeriodmapsError, RootFindingError)
-from periodmaps.moebius import derive_gamma, recurrence_F
+from periodmaps.moebius import derive_gamma
 from periodmaps.orbit import exclusivity_scan, verify_period
-from periodmaps.qrt import (
-    QRTParams, gamma_in_h, qrt_apply, qrt_invariant_ratfunc,
-    qrt_recurrence, reduce_to_biquadratic)
+from periodmaps.qrt import on_pencil, qrt_invariant_ratfunc
 from periodmaps.varieties import gamma_get, membership, sample_on_variety
 
 
@@ -191,10 +189,10 @@ def test_criterion_6_moebius_derivation():
     symbolic_ok = True
     for n in (2, 3, 4, 5, 6):
         fix = fixtures_for("moebius2d", n)[0]
-        # derive_gamma feeds recurrence_F, so matching the recorded
-        # bivariate polynomial checks both layers at once
-        symbolic_ok = symbolic_ok and equal_up_to_scale(
-            recurrence_F(n).F, fix.F)
+        # derive_gamma feeds the relations derive eliminates from, so
+        # matching the recorded bivariate polynomial checks both layers
+        symbolic_ok = symbolic_ok and any(
+            equal_up_to_scale(r, fix.F) for r in derive("moebius2d", n))
     gamma_texts = {
         2: "1 + h", 3: "1 + h + h^2 + a*b*h", 4: "1 + h^2 + 2*a*b*h",
         5: "1 + h + h^2 + h^3 + h^4 + a*b*h*(3 + (4 + a*b)*h + 3*h^2)",
@@ -233,7 +231,7 @@ def test_criterion_7_biquadratic_bridge():
     subs = dict(zip(("a", "b", "c", "d", "e", "f"), from_3dlv_symbolic()))
     from periodmaps.algebra import MPoly, compose_parts
     r, s = MPoly.var("r"), MPoly.var("s")
-    identity_ok = compose_parts(GAMMA3, subs)[0] == \
+    identity_ok = compose_parts(GAMMAS[3], subs)[0] == \
         -s * (r ** 2 + s ** 2 - r * s + r + s + 1)
 
     counts = {}
@@ -255,18 +253,21 @@ def test_criterion_7_biquadratic_bridge():
 
 
 def test_criterion_8_qrt_recurrences():
-    from periodmaps.algebra import RatFunc
-    from periodmaps.qrt import _rename
-    P = QRTParams.of((1, 2, 0, 3, 1, 2), (0, 1, 1, 0, 2, 1))
-    H0 = qrt_invariant_ratfunc(P.qp, P.qpp)
-    H = RatFunc(_rename(H0.num.with_vars(("x", "y")), "y", "X"),
-                _rename(H0.den.with_vars(("x", "y")), "y", "X"))
+    from periodmaps.algebra import MPoly, RatFunc
+    qp, qpp = (1, 2, 0, 3, 1, 2), (0, 1, 1, 0, 2, 1)
+    H0 = qrt_invariant_ratfunc(qp, qpp)
+    H = RatFunc(MPoly(("x", "X"), H0.num.with_vars(("x", "y")).terms),
+                MPoly(("x", "X"), H0.den.with_vars(("x", "y")).terms))
     vals = {k: RatFunc.const(a) + H * RatFunc.const(b)
-            for k, a, b in zip("abcdef", P.qp, P.qpp)}
+            for k, a, b in zip("abcdef", qp, qpp)}
     display = (vals["a"] * vals["f"] - vals["b"] * vals["e"]
                - RatFunc.const(3) * vals["c"] * vals["c"]
                + vals["c"] * vals["d"])
-    symbolic_ok = equal_up_to_scale(display.num, qrt_recurrence(P, 3).F)
+    params = {"qp": qp, "qpp": qpp}
+    derived = derive("qrt", 3, params=params,
+                     transitions=default_transitions("qrt", 3, params))
+    symbolic_ok = (len(derived) == 1
+                   and equal_up_to_scale(display.num, derived[0]))
 
     rng = random.Random("acceptance8")
 
@@ -282,13 +283,14 @@ def test_criterion_8_qrt_recurrences():
         while pairs < 20 and attempts < 100:
             attempts += 1
             try:
-                Pn = QRTParams.of(draw6(), draw6())
-                g = gamma_in_h(Pn, n)
+                qp, qpp = draw6(), draw6()
+                g = on_pencil(GAMMAS[n], qp, qpp)
                 dense = [c.constant_term() for c in g.as_univariate("h")]
                 if len(dense) < 2:
                     continue
                 hs = roots([complex(c) for c in reversed(dense)], tol=1e-9)
-                Hn = qrt_invariant_ratfunc(Pn.qp, Pn.qpp).with_vars(("x", "y"))
+                m = catalog_get("qrt", qp=qp, qpp=qpp)
+                Hn = m.invariants[0]
                 nuc = [c.eval([0.37 + 0.21j])
                        for c in Hn.num.with_vars(("x", "y")).as_univariate("y")]
                 dec = [c.eval([0.37 + 0.21j])
@@ -310,7 +312,7 @@ def test_criterion_8_qrt_recurrences():
                     pt = (0.37 + 0.21j, y0)
                     try:
                         for _ in range(n):
-                            pt = qrt_apply(Pn, pt)
+                            pt = apply_map(m, pt)
                     except PeriodmapsError:
                         continue
                     if (abs(pt[0] - (0.37 + 0.21j)) <= 1e-8

@@ -1,4 +1,4 @@
-"""Symmetric biquadratic correspondences: branches, composition, generators."""
+"""Symmetric biquadratic correspondences: branches and generators."""
 
 from fractions import Fraction
 
@@ -6,9 +6,8 @@ import pytest
 
 from periodmaps.algebra import MPoly, compose_parts, parse_poly
 from periodmaps.biquad import (
-    GAMMA3, GAMMAS, coerce_params, compose, follow, from_3dlv,
-    from_3dlv_symbolic, gamma_biquad, s_poly, s_value, sample_on_gamma,
-    solve_branches)
+    GAMMAS, coerce_params, follow, from_3dlv_symbolic, gamma_biquad, s_poly,
+    s_value, sample_on_gamma, solve_branches)
 from periodmaps.errors import DegenerateParameterError
 
 Q = tuple(Fraction(c) for c in (1, -2, 3, 1, 2, -1))
@@ -40,13 +39,6 @@ def test_follow_does_not_backtrack():
         assert abs(s_value(Q, orbit[k], orbit[k - 1])) < 1e-6
 
 
-def test_compose_gives_the_two_step_parameters():
-    q2 = compose(Q)
-    orbit = follow(Q, Fraction(5, 7), 4)
-    for k in range(len(orbit) - 2):
-        assert abs(s_value(q2, orbit[k + 2], orbit[k])) < 1e-6
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_sample_on_gamma_lands_on_the_generator(n):
     for seed in range(4):
@@ -72,23 +64,8 @@ def test_3dlv_identification_symbolic_identity():
     # gamma^(3) of the identified parameters is -s times the period-3
     # generator of the three-dimensional Lotka-Volterra variety
     subs = dict(zip(("a", "b", "c", "d", "e", "f"), from_3dlv_symbolic()))
-    lhs = compose_parts(GAMMA3, subs)[0]
+    lhs = compose_parts(GAMMAS[3], subs)[0]
     r, s = MPoly.var("r"), MPoly.var("s")
     rhs = -s * (r ** 2 + s ** 2 - r * s + r + s + 1)
     assert lhs == rhs
 
-
-def test_3dlv_numeric_matches_symbolic():
-    sym = from_3dlv_symbolic()
-    for (rv, sv) in ((Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5, 3))):
-        num = from_3dlv(rv, sv)
-        for p, c in zip(sym, num):
-            assert p.subs_values({"r": rv, "s": sv}).constant_term() == c
-
-
-def test_gamma4_on_composed_parameters_of_gamma3():
-    # a one-step correspondence of period 3 composes to one of period 3
-    # again; its gamma^(3) value stays zero
-    q = sample_on_gamma(3, 1)
-    q2 = compose(q)
-    assert gamma_biquad(3, q2) == 0

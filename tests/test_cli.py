@@ -194,7 +194,14 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
     (["eliminate", "--map", "lv4", "--period", "2", "--a", "1"], "'a'"),
     (["eliminate", "--map", "euler", "--period", "3"],
      "recorded periods: []"),
-    (["eliminate", "--map", "qrt", "--period", "3"], "recorded periods: []"),
+    (["eliminate", "--map", "qrt", "--period", "3"],
+     "qrt requires parameter 'qp'"),
+    (["eliminate", "--map", "qrt", "--period", "6", "--qp", "1,2,0,3,1,2",
+      "--qpp", "0,1,1,0,2,1"], "recorded periods: [3, 4, 5]"),
+    (["verify", "--map", "qrt", "--period", "3", "--qp", "1,2,3", "--qpp",
+      "0,1,1,0,2,1"], "expected six rational parameters"),
+    (["eliminate", "--map", "moebius2d", "--period", "3", "--a", "1"],
+     "moebius2d requires parameter 'b'"),
     (["eliminate", "--map", "example", "--period", "4"],
      "recorded periods: [3]"),
     (["eliminate", "--map", "moebius2d", "--period", "9"],
@@ -215,7 +222,9 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
 ], ids=["verify-without-period", "off-variety-with-period", "negative-seeds",
         "zero-seeds", "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
         "negative-steps", "foreign-parameter", "eliminate-foreign-parameter",
-        "eliminate-euler", "eliminate-qrt", "eliminate-example-period",
+        "eliminate-euler", "eliminate-qrt", "eliminate-qrt-period",
+        "verify-qrt-short-qp", "eliminate-moebius2d-missing-b",
+        "eliminate-example-period",
         "eliminate-moebius2d-period", "fixtures-unrecorded-period",
         "orbit-init-length", "verify-csv", "list-csv", "fixtures-parameters",
         "fixtures-seeds", "eliminate-seeds"])
@@ -228,6 +237,16 @@ def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     assert code == EXIT_USAGE
     assert message in out.err
     assert out.out == ""
+
+
+def test_eliminate_rejects_a_collapsing_moebius_member(capsys):
+    # a*b = 1: eliminate fails as verify does, with the builder's message
+    for command in ("eliminate", "verify"):
+        code, out, err = _run(capsys, command, "--map", "moebius2d",
+                              "--period", "3", "--a", "2", "--b", "1/2")
+        assert code == EXIT_FAIL
+        assert "collapses to a constant map" in err
+        assert out == ""
 
 
 def test_two_main_calls_build_one_parser(capsys, monkeypatch):

@@ -13,11 +13,12 @@ from periodmaps.algebra import (
     MPoly, equal_up_to_scale, exact_divide, normalize, parse_poly, roots,
     strip_var_monomials)
 from periodmaps.algebra.gcd import _prs_gcd
-from periodmaps.elim import fixtures_for
-from periodmaps.errors import DegenerateParameterError, InexactDivisionError
+from periodmaps.elim import derive, fixtures_for
+from periodmaps.errors import (
+    DegenerateParameterError, InexactDivisionError, MissingParameterError)
 from periodmaps.moebius import (
-    MoebiusParams, derive_gamma, initial_state, mu_pair, param_step,
-    power_coefficients, recurrence_F, step_matrix_power)
+    MoebiusParams, derive_gamma, initial_state, param_step,
+    power_coefficients, step_matrix_power)
 
 GAMMA_TEXTS = {
     2: "1 + h",
@@ -34,24 +35,34 @@ def test_derive_gamma_closed_forms(n):
     assert derive_gamma(n) == want
 
 
+def _recurrence(n, a=None, b=None):
+    """The one moebius2d recurrence `derive` gives, at (a, b) if given,
+    normalised as the pins below were written: a positive leading term in
+    the variable order (b, a, X, x), printed in (x, X[, a, b])."""
+    params = None if a is None else {"a": Fraction(a), "b": Fraction(b)}
+    got = derive("moebius2d", n, params=params)
+    assert len(got) == 1
+    F = got[0].with_vars(("b", "a", "X", "x")).primitive()
+    return F.with_vars(("x", "X") if params else ("x", "X", "a", "b"))
+
+
 @pytest.mark.parametrize("n", sorted(GAMMA_TEXTS))
 def test_recurrence_matches_recorded_polynomial(n):
     fix = fixtures_for("moebius2d", n)[0]
-    rec = recurrence_F(n)
-    assert equal_up_to_scale(rec.F, fix.F)
-    assert rec.period == n and rec.source == "moebius2d"
+    assert equal_up_to_scale(_recurrence(n), fix.F)
 
 
 def test_recurrence_with_numeric_parameters():
     fix = fixtures_for("moebius2d", 4)[0]
-    rec = recurrence_F(4, a=1, b=2)
+    F = _recurrence(4, a=1, b=2)
     want = fix.F.subs_values({"a": Fraction(1), "b": Fraction(2)})
-    assert equal_up_to_scale(rec.F, want)
-    assert set(rec.F.used_vars()) <= {"x", "X"}
+    assert equal_up_to_scale(F, want)
+    assert set(F.used_vars()) <= {"x", "X"}
 
 
 # sha256 of str(F), as the per-term clearing loop sum_k c_k up^k down^(m-k)
-# wrote it before recurrence_F went through compose_parts
+# of gamma(X(1 + bx)/(x + a)) wrote it; the elimination route gives the same
+# text
 RECURRENCE_SHA256 = {
     (2, None): "406eddb4cf815e0ec433554e162aa545eb19321657aaf63c78e832ac44ecb74f",
     (3, None): "39f3f6bd0a638130ec8e828dd9352ac7b97e0b692ad002e38f45821fb8e58208",
@@ -73,12 +84,12 @@ RECURRENCE_SHA256 = {
 @pytest.mark.parametrize("n,ab", sorted(RECURRENCE_SHA256,
                                         key=lambda k: (k[1] is None, k)))
 def test_recurrence_text_is_pinned(n, ab):
-    rec = recurrence_F(n) if ab is None else recurrence_F(n, *ab)
-    got = hashlib.sha256(str(rec.F).encode()).hexdigest()
+    F = _recurrence(n) if ab is None else _recurrence(n, *ab)
+    got = hashlib.sha256(str(F).encode()).hexdigest()
     assert got == RECURRENCE_SHA256[(n, ab)]
 
 
-# sha256 of str(F) at fractional (a, b), as recurrence_F wrote it when it
+# sha256 of str(F) at fractional (a, b), as the closed form wrote it when it
 # passed h = X(1 + bx)/(x + a) to compose_parts as a RatFunc
 FRACTIONAL_SHA256 = {
     (2, "2", "1/3"): "f780dfb75fd8dca0a8b23d849d0ebe1143cd6606d8b67f23a097600209c5ee48",
@@ -107,16 +118,16 @@ FRACTIONAL_SHA256 = {
 
 @pytest.mark.parametrize("n,a,b", sorted(FRACTIONAL_SHA256))
 def test_recurrence_text_is_pinned_at_fractional_parameters(n, a, b):
-    rec = recurrence_F(n, Fraction(a), Fraction(b))
-    got = hashlib.sha256(str(rec.F).encode()).hexdigest()
+    F = _recurrence(n, a, b)
+    got = hashlib.sha256(str(F).encode()).hexdigest()
     assert got == FRACTIONAL_SHA256[(n, a, b)]
 
 
 def test_recurrence_rejects_half_specified_parameters():
-    with pytest.raises(ValueError):
-        recurrence_F(3, a=1)
+    with pytest.raises(MissingParameterError):
+        derive("moebius2d", 3, params={"a": Fraction(1)})
     with pytest.raises(DegenerateParameterError):
-        recurrence_F(3, a=2, b=Fraction(1, 2))
+        derive("moebius2d", 3, params={"a": Fraction(2), "b": Fraction(1, 2)})
 
 
 def test_scalar_orbit_is_periodic_on_the_parameter_variety():
@@ -241,13 +252,6 @@ def test_derive_gamma_against_matrix_order_oracle(n):
             if n % d == 0:
                 assert _distance_from_scalar(
                     np.linalg.matrix_power(m, d)) > 1e-6, (h, d)
-
-
-def test_mu_pair_sum_and_product():
-    mu1, mu2 = mu_pair(2, Fraction(1, 3))
-    ab = 2 / 3
-    assert abs(mu1 * mu2 - 1) < 1e-12
-    assert abs(mu1 + mu2 - (1 + ab)) < 1e-12
 
 
 def test_degenerate_parameter_guards():

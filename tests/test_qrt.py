@@ -1,43 +1,55 @@
-"""Planar QRT dynamics and the induced recurrence polynomials."""
+"""Planar QRT dynamics and the recurrence polynomials `eliminate` derives."""
 
 import hashlib
-from fractions import Fraction
+import json
 
 import pytest
 
 from periodmaps.algebra import (
-    MPoly, RatFunc, equal_up_to_scale, roots)
-from periodmaps.biquad import follow, gamma_biquad, s_value
+    MPoly, RatFunc, equal_up_to_scale, parse_poly, roots, roots_of_poly)
+from periodmaps.biquad import GAMMAS, follow, gamma_biquad, s_value
+from periodmaps.catalog import apply_map, catalog_get, invariants_eval
+from periodmaps.cli import main
+from periodmaps.elim import default_transitions, derive
+from periodmaps.errors import MissingParameterError
 from periodmaps.qrt import (
-    QRTParams, gamma_in_h, qrt_apply, qrt_invariant, qrt_recurrence,
-    reduce_to_biquadratic)
+    on_pencil, qrt_invariant_ratfunc, reduce_to_biquadratic)
 QP = (1, 2, 0, 3, 1, 2)
 QPP = (0, 1, 1, 0, 2, 1)
+PARAMS = {"qp": QP, "qpp": QPP}
 
 
-def _params():
-    return QRTParams.of(QP, QPP)
+def _map():
+    return catalog_get("qrt", params=PARAMS)
+
+
+def _recurrence(n, params=PARAMS):
+    """The one factor `eliminate --map qrt` derives, in (x, X)."""
+    ts = default_transitions("qrt", n, params)
+    got = derive("qrt", n, transitions=ts, params=params)
+    assert len(got) == 1
+    return got[0].with_vars(("x", "X")).primitive()
 
 
 def test_invariant_conserved_along_numeric_orbit():
-    P = _params()
+    m = _map()
     pt = (0.7, -0.4)
-    h0 = qrt_invariant(P, pt)
+    h0, = invariants_eval(m, pt)
     for _ in range(6):
-        pt = qrt_apply(P, pt)
-        assert abs(qrt_invariant(P, pt) - h0) < 1e-9
+        pt = apply_map(m, pt)
+        assert abs(invariants_eval(m, pt)[0] - h0) < 1e-9
 
 
 def test_reduction_to_biquadratic_is_consistent_with_the_orbit():
     # on a level set h, consecutive x-coordinates satisfy the reduced
     # one-dimensional correspondence
-    P = _params()
+    m = _map()
     pt = (0.7, -0.4)
-    h = qrt_invariant(P, pt)
-    q = reduce_to_biquadratic(P, h)
+    h, = invariants_eval(m, pt)
+    q = reduce_to_biquadratic(QP, QPP, h)
     xs = [pt[0]]
     for _ in range(5):
-        pt = qrt_apply(P, pt)
+        pt = apply_map(m, pt)
         xs.append(pt[0])
     for k in range(len(xs) - 1):
         assert abs(s_value(q, xs[k + 1], xs[k])) < 1e-7
@@ -45,14 +57,13 @@ def test_reduction_to_biquadratic_is_consistent_with_the_orbit():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_gamma_in_h_roots_give_periodic_level_sets(n):
-    P = _params()
-    g = gamma_in_h(P, n)
+    g = on_pencil(GAMMAS[n], QP, QPP)
     dense = [c.constant_term() for c in g.as_univariate("h")]
     hs = roots([complex(c) for c in reversed(dense)], tol=1e-9)
     assert hs, "the pencil polynomial must have roots"
     hit = 0
     for h in hs:
-        q = reduce_to_biquadratic(P, h)
+        q = reduce_to_biquadratic(QP, QPP, h)
         assert abs(complex(gamma_biquad(n, q))) < 1e-6 * (1 + abs(h)) ** 6
         try:
             orbit = follow(q, 0.23 + 0.19j, n)
@@ -63,41 +74,40 @@ def test_gamma_in_h_roots_give_periodic_level_sets(n):
     assert hit >= 1
 
 
+def _in_x_X(p: MPoly) -> MPoly:
+    """p(x, y) with y renamed X."""
+    return MPoly(("x", "X"), p.with_vars(("x", "y")).terms)
+
+
 def test_recurrence_matches_direct_rational_arithmetic():
     # independent reconstruction: evaluate the generating polynomial on
     # q' + H(x, X) q'' with plain rational-function arithmetic
-    P = _params()
-    rec = qrt_recurrence(P, 3)
-    from periodmaps.qrt import qrt_invariant_ratfunc, _rename
+    F = _recurrence(3)
     H0 = qrt_invariant_ratfunc(QP, QPP)
-    num = _rename(H0.num.with_vars(("x", "y")), "y", "X")
-    den = _rename(H0.den.with_vars(("x", "y")), "y", "X")
-    H = RatFunc(num, den)
+    H = RatFunc(_in_x_X(H0.num), _in_x_X(H0.den))
     vals = {}
-    for name, ap, app in zip(("a", "b", "c", "d", "e", "f"), P.qp, P.qpp):
+    for name, ap, app in zip(("a", "b", "c", "d", "e", "f"), QP, QPP):
         vals[name] = RatFunc.const(ap) + H * RatFunc.const(app)
     combo = (vals["a"] * vals["f"] - vals["b"] * vals["e"]
              - RatFunc.const(3) * vals["c"] * vals["c"]
              + vals["c"] * vals["d"])
-    assert equal_up_to_scale(combo.num, rec.F)
+    assert equal_up_to_scale(combo.num, F)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_recurrence_roots_lie_on_periodic_level_sets(n):
     # every root X of F(x0, X) = 0 puts (x0, X) on a level set whose
     # reduced correspondence closes up after n steps
-    P = _params()
-    rec = qrt_recurrence(P, n)
-    from periodmaps.qrt import qrt_invariant_ratfunc
-    H = qrt_invariant_ratfunc(QP, QPP).with_vars(("x", "y"))
-    g = gamma_in_h(P, n)
+    F = _recurrence(n)
+    H = _map().invariants[0]
+    g = on_pencil(GAMMAS[n], QP, QPP)
     scale = 1 + float(g.max_abs_coeff())
     closed = tried = 0
     for x0 in (0.41, -0.77 + 0.3j, 1.9):
-        for X in rec.roots_at(x0, tol=1e-8):
+        for X in roots_of_poly(F, "X", {"x": complex(x0)}, tol=1e-8):
             h = H.eval([complex(x0), X])
             assert abs(g.eval([h])) < 1e-5 * scale * (1 + abs(h)) ** g.degree("h")
-            q = reduce_to_biquadratic(P, h)
+            q = reduce_to_biquadratic(QP, QPP, h)
             try:
                 orbit = follow(q, x0, n)
             except Exception:
@@ -108,9 +118,10 @@ def test_recurrence_roots_lie_on_periodic_level_sets(n):
     assert tried >= 3 and closed >= tried // 2
 
 
-# sha256 of str(F) at the two parameter sets of the benchmark campaign, as
-# the per-term clearing loop sum_k c_k N^k D^(m-k) wrote it before
-# qrt_recurrence went through compose_parts
+# sha256 of str(F) at the two parameter sets of the benchmark campaign, F in
+# (x, X) with a positive leading term, as the per-term clearing loop
+# sum_k c_k N^k D^(m-k) of gamma^(n)(q' + H q'') wrote it; the factor
+# `eliminate` derives prints the same text
 RECURRENCE_SHA256 = {
     ((1, 2, 0, 3, 1, 2), (0, 1, 1, 0, 2, 1)): {
         3: "d135bec57d859a5f3944f41f7ee1c48ebf3da7994eb61bf5898c88e2dd692983",
@@ -125,13 +136,17 @@ RECURRENCE_SHA256 = {
 
 @pytest.mark.parametrize("qp,qpp", sorted(RECURRENCE_SHA256))
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_recurrence_text_is_pinned(qp, qpp, n):
-    F = qrt_recurrence(QRTParams.of(qp, qpp), n).F
+def test_recurrence_text_is_pinned(qp, qpp, n, capsys):
+    argv = ["eliminate", "--map", "qrt", "--period", str(n),
+            "--qp", ",".join(map(str, qp)), "--qpp", ",".join(map(str, qpp))]
+    assert main(argv) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["pass"] for v in verdicts] == [True]
+    F = parse_poly(verdicts[0]["F"], ("x", "X")).primitive()
     got = hashlib.sha256(str(F).encode()).hexdigest()
     assert got == RECURRENCE_SHA256[(qp, qpp)][n]
 
 
 def test_qrt_params_validate_their_shape():
-    from periodmaps.errors import DegenerateParameterError
-    with pytest.raises(DegenerateParameterError):
-        QRTParams.of((1, 2, 3), QPP)
+    with pytest.raises(MissingParameterError, match="six rational"):
+        catalog_get("qrt", qp=(1, 2, 3), qpp=QPP)

@@ -125,9 +125,14 @@ def _recorded_resultants(monkeypatch, pairs):
     monkeypatch.setattr(elim, "resultant", recording)
     monkeypatch.setattr(elim, "_filter_factors", lambda p, *args: p)
     for name, period in pairs:
-        for prob in elim.standard_problems(name, period):
+        for prob in elim.standard_problems(name, period,
+                                           SETUP_PARAMS.get(name)):
             elim.eliminate(prob)
     return calls
+
+
+# a map with no symbolic relations is eliminated at given parameters
+SETUP_PARAMS = {"qrt": {"qp": (1, 2, 0, 3, 1, 2), "qpp": (0, 1, 1, 0, 2, 1)}}
 
 
 def _setups():
@@ -144,7 +149,7 @@ def test_linear_pivot_resultant_equals_bareiss_on_recorded_setups(
     lv3 p5 is checked separately: its Bareiss determinants take 30 s."""
     pairs = [pair for pair in _setups() if pair != ("lv3", 5)]
     calls = _recorded_resultants(monkeypatch, pairs)
-    assert len(calls) == 29
+    assert len(calls) == 32
     for p, q, var, r in calls:
         assert p.degree(var) == 1
         _assert_same_polynomial(r, det_bareiss(sylvester_matrix(p, q, var)))

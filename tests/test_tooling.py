@@ -73,3 +73,44 @@ def test_no_private_helper_goes_unreferenced():
             if not any(name in names
                        for _, other, names in statements if other is not node)]
     assert not dead, "unreferenced private helpers:\n" + "\n".join(dead)
+
+
+def _module_name(path: Path) -> str:
+    parts = ("periodmaps",) + path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _import_targets(path: Path, tree):
+    """The dotted names each import of a module names, resolved against its
+    package; `from m import n` names both m and m.n."""
+    package = _module_name(path)
+    if path.name != "__init__.py":
+        package = package.rsplit(".", 1)[0]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_every_module_is_imported_by_another():
+    """A module no other module of the package imports is reachable only
+    from the tests: an orphan, like an unreferenced private helper.
+    ``python -m periodmaps`` runs __main__, so it alone is exempt."""
+    paths = sorted(PACKAGE.rglob("*.py"))
+    imported = {}       # module -> the modules that import it or a submodule
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for target in _import_targets(path, tree):
+            parts = target.split(".")
+            for k in range(1, len(parts) + 1):
+                imported.setdefault(".".join(parts[:k]), set()).add(
+                    _module_name(path))
+    orphans = [name for name in map(_module_name, paths)
+               if name != "periodmaps.__main__"
+               and not imported.get(name, set()) - {name}]
+    assert not orphans, "modules no other module imports: " + ", ".join(
+        orphans)
