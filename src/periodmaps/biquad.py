@@ -4,6 +4,9 @@ The correspondence is quadratic in each argument and symmetric under
 X <-> x, so it is 2-valued with a forward and a backward traversal route;
 ``follow`` walks one of them.  A correspondence whose six parameters lie
 on gamma^(n) = 0 closes up after n steps.
+
+The planar QRT map's level set H(x, y) = h carries the correspondence
+with parameters q' + h q'' (``reduce_to_biquadratic``, ``on_pencil``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
-from .algebra import MPoly, parse_poly, roots, root_sort_key
+from .algebra import MPoly, compose_parts, parse_poly, roots, root_sort_key
 from .data import VARIETIES
 from .errors import DegenerateParameterError, RootFindingError
 
@@ -37,36 +40,25 @@ def coerce_params(q: Sequence) -> BiquadParams:
     return tuple(out)
 
 
-def is_exact(q: BiquadParams) -> bool:
-    return all(isinstance(c, Fraction) for c in q)
-
-
-def s_poly(q: BiquadParams, Xvar: str = "X", xvar: str = "x") -> MPoly:
-    """S_q as an exact polynomial (requires rational parameters)."""
-    a, b, c, d, e, f = (Fraction(v) for v in q)
-    X = MPoly.var(Xvar)
-    x = MPoly.var(xvar)
-    return (a * X ** 2 * x ** 2 + b * (X + x) * X * x + c * (X - x) ** 2
-            + d * X * x + e * (X + x) + f).with_vars((Xvar, xvar))
-
-
-def quadratic_coeffs(q: BiquadParams, x: complex):
-    """(xi, eta, rho) of the X-quadratic S_q(X, x) = 0 at numeric x."""
-    a, b, c, d, e, f = (complex(v) for v in q)
+def quadratic_coeffs(q: BiquadParams, x):
+    """(xi, eta, rho) with S_q(X, x) = xi X^2 + eta X + rho, over any
+    coefficient ring (numbers, or MPoly for the QRT map's formulas)."""
+    a, b, c, d, e, f = q
     xi = a * x * x + b * x + c
     eta = b * x * x + (d - 2 * c) * x + e
     rho = c * x * x + e * x + f
     return xi, eta, rho
 
 
-def s_value(q: BiquadParams, X: complex, x: complex) -> complex:
+def s_value(q: BiquadParams, X, x):
+    """S_q(X, x), over the ring of quadratic_coeffs."""
     xi, eta, rho = quadratic_coeffs(q, x)
     return xi * X * X + eta * X + rho
 
 
 def solve_branches(q: BiquadParams, x: complex):
     """The up-to-two branch values X with S_q(X, x) = 0, sorted."""
-    xi, eta, rho = quadratic_coeffs(q, x)
+    xi, eta, rho = quadratic_coeffs(tuple(complex(c) for c in q), x)
     scale = max(abs(xi), abs(eta), abs(rho))
     if scale == 0:
         raise DegenerateParameterError(
@@ -105,13 +97,27 @@ GAMMAS = {int(n): parse_poly(text, PARAM_NAMES)
           for n, (text,) in VARIETIES["qrt"]["periods"].items()}
 
 
+def on_pencil(gamma: MPoly, qp, qpp) -> MPoly:
+    """gamma(q' + h q''), gamma in the six parameters a..f, as a polynomial
+    in h."""
+    h = MPoly.var("h")
+    line = {name: (MPoly.const(Fraction(ap)) + Fraction(app) * h)
+            for name, ap, app in zip(PARAM_NAMES, qp, qpp)}
+    return compose_parts(gamma, line)[0].with_vars(("h",))
+
+
+def reduce_to_biquadratic(qp, qpp, h) -> BiquadParams:
+    """Componentwise q' + h q'': the correspondence of the QRT level set h."""
+    return coerce_params(tuple(a + h * b for a, b in zip(qp, qpp)))
+
+
 def gamma_biquad(n: int, q: BiquadParams):
     """Exact (rational q) or numeric (complex q) value of gamma^(n)."""
     if n not in GAMMAS:
         raise KeyError(f"no generating polynomial for period {n}")
     q = coerce_params(q)
-    if is_exact(q):
-        return GAMMAS[n].eval_exact([Fraction(c) for c in q])
+    if all(isinstance(c, Fraction) for c in q):
+        return GAMMAS[n].eval_exact(q)
     return GAMMAS[n].eval([complex(c) for c in q])
 
 

@@ -21,10 +21,12 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import MPoly, RatFunc, compose_parts
+from .biquad import quadratic_coeffs, s_value
 from .errors import (BranchSelectionError, DegenerateParameterError,
                      MissingParameterError, NonFiniteError,
                      NotRecordedError, PoleError, SingularSystemError,
                      UnknownMapError)
+from .moebius import derive_gamma
 
 Point = Tuple[complex, ...]
 INVARIANT_POINTS = 20   # regular points at which a build checks invariants
@@ -103,49 +105,6 @@ def _build_lv3(name, params):
     r = _rf(x * y * z, vars=vs)
     s = _rf((1 - x) * (1 - y) * (1 - z), vars=vs)
     return IntegrableMap(name, vs, params, comps, (r, s), ("r", "s"))
-
-
-def _lv_invariant_polys(d: int):
-    """Invariants of the d-dimensional cyclic Lotka-Volterra map."""
-    names = tuple("x%d" % (j + 1) for j in range(d)) if d > 4 else \
-        ("x", "y", "z", "u")[:d]
-    xs = _vars(names)
-    f = [xs[j] * (1 - xs[(j - 1) % d]) for j in range(d)]
-    invs = []
-    inames = []
-    for k in range(1, d // 2 + 1):
-        total = MPoly.zero()
-        for combo in _nonadjacent_subsets(d, k):
-            term = MPoly.const(1)
-            for j in combo:
-                term = term * f[j]
-            total = total + term
-        invs.append(_rf(total, vars=names))
-        inames.append("h%d" % k)
-    prod = MPoly.const(1)
-    for v in xs:
-        prod = prod * v
-    invs.append(_rf(prod, vars=names))
-    inames.append("r")
-    return names, tuple(invs), tuple(inames)
-
-
-def _nonadjacent_subsets(d: int, k: int):
-    """k-element subsets of Z/d with no two cyclically adjacent members."""
-    out = []
-
-    def rec(start, chosen):
-        if len(chosen) == k:
-            if not (0 in chosen and (d - 1) in chosen):
-                out.append(tuple(chosen))
-            return
-        for j in range(start, d):
-            if chosen and j == chosen[-1] + 1:
-                continue
-            rec(j + 1, chosen + [j])
-
-    rec(0, [])
-    return out
 
 
 def lv_chain(xs, one, zero):
@@ -236,8 +195,14 @@ def _lv4_relations(period):
 
 
 def _build_lv4(name, params):
-    names, invs, inames = _lv_invariant_polys(4)
-    return IntegrableMap(name, names, params, None, invs, inames,
+    names = ("x", "y", "z", "u")
+    xs = _vars(names)
+    x, y, z, u = xs
+    f0, f1, f2, f3 = (xs[j] * (1 - xs[j - 1]) for j in range(4))
+    invs = (_rf(f0 + f1 + f2 + f3, vars=names),
+            _rf(f0 * f2 + f1 * f3, vars=names),
+            _rf(x * y * z * u, vars=names))
+    return IntegrableMap(name, names, params, None, invs, ("h1", "h2", "r"),
                          numeric_apply=_make_lv4_apply(invs))
 
 
@@ -373,7 +338,6 @@ def _build_moebius2d(name, params):
 def _moebius2d_relations(period):
     """X = (x + a) y and the period variety, with a and b kept as symbols:
     the recorded recurrences hold for the whole family."""
-    from .moebius import derive_gamma
     x, y, a, b = _vars(("x", "y", "a", "b"))
     gam = compose_parts(derive_gamma(period), {"h": y * (1 + b * x)})[0]
     return {"X": MPoly.var("X") - (x + a) * y}, (gam,)
@@ -387,12 +351,23 @@ def _coerce_six(q) -> Tuple[Fraction, ...]:
 
 
 def _build_qrt(name, params):
-    from .qrt import qrt_component_y, qrt_invariant_ratfunc
+    """H = -S_q'(y, x) / S_q''(y, x), and Y the root besides x of the
+    X-quadratic of S_q' + h S_q'' at y, on the level set h through (x, y)."""
     qp, qpp = params["qp"], params["qpp"]
     names = ("x", "y")
-    comp_y = qrt_component_y(qp, qpp).with_vars(names)
-    comps = (_rf(MPoly.var("y"), vars=names), comp_y)
-    H = qrt_invariant_ratfunc(qp, qpp).with_vars(names)
+    x, y = _vars(names)
+    xp, ep, rp = quadratic_coeffs(qp, y)
+    xpp, epp, rpp = quadratic_coeffs(qpp, y)
+    num = ep * rpp - rp * epp - x * (rp * xpp - xp * rpp)
+    den = rp * xpp - xp * rpp - x * (xp * epp - ep * xpp)
+    if den.is_zero():
+        raise DegenerateParameterError("QRT denominator is identically zero")
+    comps = (_rf(y, vars=names), _rf(num, den, vars=names))
+    hden = s_value(qpp, y, x)
+    if hden.is_zero():
+        raise DegenerateParameterError(
+            "invariant denominator biquadratic is identically zero")
+    H = _rf(-s_value(qp, y, x), hden, vars=names)
     return IntegrableMap(name, names, params, comps, (H,), ("h",))
 
 

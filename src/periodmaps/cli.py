@@ -168,8 +168,7 @@ def cmd_verify(args) -> int:
                                  "error": str(exc)})
                 ok = False
                 continue
-            good = (rep.return_error <= args.tol and rep.drift <= args.tol
-                    and not rep.fixed_point)
+            good = rep.passed(args.tol)
             verdicts.append({
                 "seed": seed, "pass": good,
                 "residual": rep.return_error, "drift": rep.drift,
@@ -222,8 +221,8 @@ def cmd_eliminate(args) -> int:
         fixes = None            # derivable, but nothing recorded to match
     try:
         transitions = default_transitions(name, args.period, params)
-    except PeriodmapsError:
-        transitions = None
+    except UnknownVarietyError:
+        transitions = None      # no variety recorded to sample: unfiltered
     results = derive(name, args.period, transitions=transitions,
                      tol=args.tol, params=params)
     targets = [(fix.index, fix.F) for fix in fixes or ()]

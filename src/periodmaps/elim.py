@@ -9,6 +9,7 @@ on-variety transitions and removed by exact division.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,6 +158,8 @@ def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
                     transitions: Optional[Sequence[Transition]],
                     tol: float) -> MPoly:
     p = strip_var_monomials(p)
+    if p.total_degree() == 0:
+        return p                # a monomial: eliminate drops it
     main = next((v for v in p.used_vars() if v.isupper()),
                 None) or next(iter(p.used_vars()))
     p = squarefree_part(p, main)
@@ -346,7 +349,6 @@ def default_transitions(map_name: str, period: int,
 
 def _fixture_residual(fix: Fixture, t: Transition) -> float:
     if "q" in fix.F.vars and "q" not in t:
-        import cmath
         al, be, ga = (t[k] for k in ("alpha", "beta", "gamma"))
         x, y = t["x"], t["y"]
         q = cmath.sqrt((1 - al * ga * y * y) * (1 - be * ga * x * x))

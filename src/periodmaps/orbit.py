@@ -29,7 +29,10 @@ class OrbitReport:
         return len(self.points) - 1
 
     def passed(self, tol: float) -> bool:
-        return self.return_error <= tol and not self.fixed_point
+        """The period verdict: the orbit returns and conserves the
+        invariants within tol, and its start is not a fixed point."""
+        return (self.return_error <= tol and self.drift <= tol
+                and not self.fixed_point)
 
 
 def _rel_dist(p: Sequence[complex], q: Sequence[complex]) -> float:

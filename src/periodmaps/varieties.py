@@ -17,11 +17,11 @@ from typing import Dict, Optional, Sequence, Tuple
 from .algebra import (MPoly, RatFunc, coefficient_values, compose_parts,
                       parse_poly, root_sort_key, roots_of_poly,
                       roots_of_values)
+from .biquad import GAMMAS, on_pencil
 from .catalog import IntegrableMap, catalog_get
 from .data import VARIETIES
 from .errors import (PoleError, RootFindingError, SamplingError,
                      UnknownVarietyError)
-from .qrt import on_pencil
 
 GRID_DENOM = 8
 GRID_SPAN = 24          # numerators drawn from [-24, 24], i.e. [-3, 3]
@@ -116,9 +116,7 @@ def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
 
     if "pencil" in entry:
         # generators live on the parameter pencil q' + h q''
-        gammas = tuple(
-            on_pencil(parse_poly(t, tuple(entry["pencil"])), m.params["qp"],
-                      m.params["qpp"]) for t in texts)
+        gammas = (on_pencil(GAMMAS[period], m.params["qp"], m.params["qpp"]),)
     elif "parameters" in entry:
         pvals = {k: m.params[k] for k in entry["parameters"]}
         gammas = tuple(_subs_params(t, symbols, pvals).with_vars(symbols)

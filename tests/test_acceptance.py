@@ -13,14 +13,13 @@ import pytest
 
 from periodmaps.algebra import equal_up_to_scale, parse_poly, roots
 from periodmaps.biquad import (
-    GAMMAS, follow, from_3dlv_symbolic, sample_on_gamma)
+    GAMMAS, follow, from_3dlv_symbolic, on_pencil, sample_on_gamma)
 from periodmaps.catalog import apply_map, catalog_get
 from periodmaps.elim import default_transitions, derive, fixtures_for
 from periodmaps.errors import (
     DegenerateParameterError, PeriodmapsError, RootFindingError)
 from periodmaps.moebius import derive_gamma
 from periodmaps.orbit import exclusivity_scan, verify_period
-from periodmaps.qrt import on_pencil, qrt_invariant_ratfunc
 from periodmaps.varieties import gamma_get, membership, sample_on_variety
 
 
@@ -255,7 +254,7 @@ def test_criterion_7_biquadratic_bridge():
 def test_criterion_8_qrt_recurrences():
     from periodmaps.algebra import MPoly, RatFunc
     qp, qpp = (1, 2, 0, 3, 1, 2), (0, 1, 1, 0, 2, 1)
-    H0 = qrt_invariant_ratfunc(qp, qpp)
+    H0 = catalog_get("qrt", qp=qp, qpp=qpp).invariants[0]
     H = RatFunc(MPoly(("x", "X"), H0.num.with_vars(("x", "y")).terms),
                 MPoly(("x", "X"), H0.den.with_vars(("x", "y")).terms))
     vals = {k: RatFunc.const(a) + H * RatFunc.const(b)

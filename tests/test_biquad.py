@@ -6,17 +6,25 @@ import pytest
 
 from periodmaps.algebra import MPoly, compose_parts, parse_poly
 from periodmaps.biquad import (
-    GAMMAS, coerce_params, follow, from_3dlv_symbolic, gamma_biquad, s_poly,
-    s_value, sample_on_gamma, solve_branches)
+    GAMMAS, coerce_params, follow, from_3dlv_symbolic, gamma_biquad, s_value,
+    sample_on_gamma, solve_branches)
 from periodmaps.errors import DegenerateParameterError
 
 Q = tuple(Fraction(c) for c in (1, -2, 3, 1, 2, -1))
 
 
-def test_s_poly_is_symmetric():
-    direct = s_poly(Q, "X", "x")
-    swapped = s_poly(Q, "x", "X").with_vars(("X", "x"))
-    assert direct == swapped
+def test_s_value_is_symmetric():
+    X, x = MPoly.var("X"), MPoly.var("x")
+    assert s_value(Q, X, x) == s_value(Q, x, X)
+
+
+def test_s_value_over_polynomials_evaluates_to_s_value_over_numbers():
+    S = s_value(Q, MPoly.var("X"), MPoly.var("x")).with_vars(("X", "x"))
+    for X, x in ((Fraction(3, 7), Fraction(-2)), (Fraction(5), Fraction(1, 4))):
+        assert S.eval_exact([X, x]) == s_value(Q, X, x)
+    for X, x in ((0.4, -1.3 + 0.2j), (2.75, 0.5), (-1j, 3.0 + 1j)):
+        want = s_value(Q, X, x)
+        assert abs(S.eval([X, x]) - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_solve_branches_satisfy_the_correspondence():

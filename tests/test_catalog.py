@@ -1,5 +1,7 @@
 """Map construction, exact steps, and conservation of attached invariants."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -114,6 +116,37 @@ def test_toda3_step_conserves_invariants_exactly_bulk():
         except (ZeroDivisionError, PoleError):
             continue
         checked += 1
+
+
+def _lv_invariants_by_subsets(names):
+    """The cyclic Lotka-Volterra invariants as sums over nonadjacent
+    subsets: h_k sums f_j1 ... f_jk over the k-subsets of Z/d with no two
+    cyclically adjacent members, f_j = x_j (1 - x_{j-1}); r = x_1 ... x_d."""
+    d = len(names)
+    xs = [MPoly.var(v) for v in names]
+    f = [xs[j] * (1 - xs[j - 1]) for j in range(d)]
+    invs = []
+    for k in range(1, d // 2 + 1):
+        total = MPoly.zero()
+        for combo in itertools.combinations(range(d), k):
+            if all((b - a) % d not in (1, d - 1)
+                   for a, b in itertools.combinations(combo, 2)):
+                total = total + math.prod(
+                    (f[j] for j in combo), start=MPoly.const(1))
+        invs.append(total.with_vars(names))
+    invs.append(math.prod(xs, start=MPoly.const(1)).with_vars(names))
+    return invs
+
+
+def test_lv4_invariants_are_the_nonadjacent_subset_sums():
+    m = _get("lv4")
+    assert m.invariant_names == ("h1", "h2", "r")
+    want = _lv_invariants_by_subsets(m.varnames)
+    assert len(want) == 3
+    for h, w in zip(m.invariants, want):
+        assert h.den == MPoly.const(1)
+        assert h.num == w and h.num.vars == m.varnames
+        assert str(h) == str(RatFunc(w))
 
 
 def test_lv4_exact_step_satisfies_defining_relation():

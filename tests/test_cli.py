@@ -239,6 +239,20 @@ def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("qp, qpp", [
+    ("1,0,0,0,0,0", "0,0,1,0,0,0"),     # its resultant is a monomial
+    ("0,1,0,0,-1,0", "0,-1,0,1,0,0"),   # derives X*x - X - x unfiltered
+], ids=["monomial-resultant", "unfiltered-factor"])
+def test_bad_input_eliminate_with_no_transitions_fails(capsys, qp, qpp):
+    # no transition of these members can be sampled, so nothing would
+    # filter the factors: eliminate fails rather than pass unchecked
+    code, out, err = _run(capsys, "eliminate", "--map", "qrt", "--period",
+                          "3", "--qp", qp, "--qpp", qpp)
+    assert code == EXIT_FAIL
+    assert "error: could not collect 12 transitions for (qrt, 3)" in err
+    assert out == ""
+
+
 def test_eliminate_rejects_a_collapsing_moebius_member(capsys):
     # a*b = 1: eliminate fails as verify does, with the builder's message
     for command in ("eliminate", "verify"):

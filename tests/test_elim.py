@@ -33,6 +33,14 @@ def test_problem_validation():
         EliminationProblem((rel,), eliminate=("y", "z"), keep=("X",))
 
 
+def test_a_monomial_resultant_leaves_no_factor():
+    # the resultant in y is x^4 X^4, which stripping monomials makes 1
+    X, x, y = (MPoly.var(v) for v in ("X", "x", "y"))
+    prob = EliminationProblem((X - y, x ** 4 * y ** 4), ("y",), ("X", "x"))
+    with pytest.raises(EliminationError, match="no nontrivial factor"):
+        eliminate(prob)
+
+
 def test_too_few_transitions_rejected():
     rels = (parse_poly("X - y", ("X", "y")), parse_poly("y - 5", ("y",)))
     prob = EliminationProblem(rels, eliminate=("y",), keep=("X",))

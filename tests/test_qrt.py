@@ -7,13 +7,13 @@ import pytest
 
 from periodmaps.algebra import (
     MPoly, RatFunc, equal_up_to_scale, parse_poly, roots, roots_of_poly)
-from periodmaps.biquad import GAMMAS, follow, gamma_biquad, s_value
+from periodmaps.biquad import (
+    GAMMAS, follow, gamma_biquad, on_pencil, reduce_to_biquadratic, s_value)
 from periodmaps.catalog import apply_map, catalog_get, invariants_eval
 from periodmaps.cli import main
 from periodmaps.elim import default_transitions, derive
 from periodmaps.errors import MissingParameterError
-from periodmaps.qrt import (
-    on_pencil, qrt_invariant_ratfunc, reduce_to_biquadratic)
+
 QP = (1, 2, 0, 3, 1, 2)
 QPP = (0, 1, 1, 0, 2, 1)
 PARAMS = {"qp": QP, "qpp": QPP}
@@ -83,7 +83,7 @@ def test_recurrence_matches_direct_rational_arithmetic():
     # independent reconstruction: evaluate the generating polynomial on
     # q' + H(x, X) q'' with plain rational-function arithmetic
     F = _recurrence(3)
-    H0 = qrt_invariant_ratfunc(QP, QPP)
+    H0 = _map().invariants[0]
     H = RatFunc(_in_x_X(H0.num), _in_x_X(H0.den))
     vals = {}
     for name, ap, app in zip(("a", "b", "c", "d", "e", "f"), QP, QPP):

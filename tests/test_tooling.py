@@ -114,3 +114,31 @@ def test_every_module_is_imported_by_another():
                and not imported.get(name, set()) - {name}]
     assert not orphans, "modules no other module imports: " + ", ".join(
         orphans)
+
+
+def test_a_function_level_import_only_breaks_a_cycle():
+    """An import inside a function is allowed only where the module it
+    names imports the importer at module level, so that importing it at
+    the top would be circular; anything else belongs at the top."""
+    trees = {_module_name(path): (path, ast.parse(
+        path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(PACKAGE.rglob("*.py"))}
+    top_level = {name: set(_import_targets(path, ast.Module(
+        [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))],
+        [])))
+        for name, (path, tree) in trees.items()}
+    misplaced = {}
+    for name, (path, tree) in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                targets = list(_import_targets(path, node))
+                if not any(name in top_level.get(t, ()) for t in targets):
+                    misplaced[(path, node.lineno)] = (
+                        f"{path.relative_to(PACKAGE)}:{node.lineno}: "
+                        f"{fn.name} imports {targets[0]}")
+    assert not misplaced, "function-level imports with no cycle:\n" + \
+        "\n".join(misplaced.values())
