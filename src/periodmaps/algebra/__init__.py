@@ -3,10 +3,10 @@
 from .gcd import cofactors, poly_content, poly_gcd, squarefree_part
 from .poly import (MPoly, divides, exact_divide, normalize, parse_poly,
                    strip_var_monomials)
-from .ratfunc import RatFunc, compose_parts
+from .ratfunc import RatFunc, compile_eval, compose_parts
 from .resultant import det_bareiss, resultant, sylvester_matrix
-from .roots import (coefficient_values, roots, roots_of_poly, roots_of_values,
-                    root_sort_key)
+from .roots import (coefficient_values, companion_roots, roots, roots_of_poly,
+                    roots_of_values, root_sort_key)
 
 __all__ = [
     "MPoly", "RatFunc",
@@ -15,8 +15,8 @@ __all__ = [
     "cofactors", "poly_content", "poly_gcd", "squarefree_part",
     "resultant", "sylvester_matrix", "det_bareiss",
     "roots", "roots_of_poly", "roots_of_values", "coefficient_values",
-    "root_sort_key",
-    "compose_parts",
+    "companion_roots", "root_sort_key",
+    "compile_eval", "compose_parts",
     "equal_up_to_scale",
 ]
 

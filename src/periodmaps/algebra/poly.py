@@ -63,9 +63,12 @@ def _arity_error(point, need: int) -> ArityError:
         f"point of length {len(point)} for polynomial using {need} variables")
 
 
+NON_FINITE = "evaluation overflowed to a non-finite value"
+
+
 def check_finite(value: complex) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise NonFiniteError("evaluation overflowed to a non-finite value")
+        raise NonFiniteError(NON_FINITE)
     return value
 
 
@@ -415,13 +418,19 @@ class MPoly:
         """
         return self.eval_values([complex(c) for c in point[:len(self.vars)]])
 
+    def float_plan(self):
+        """(need, plan) of _compile(complex), compiled on first use and
+        kept: what eval walks and what ratfunc.compile_eval turns into
+        straight-line code."""
+        if self._plan is None:
+            self._plan = self._compile(complex)
+        return self._plan
+
     def eval_values(self, values: Sequence[complex]) -> complex:
         """eval at a point already converted: values are the complex
         coordinates of the point's first len(self.vars) entries, so
         polynomials over the same variables can share one conversion."""
-        if self._plan is None:
-            self._plan = self._compile(complex)
-        need, plan = self._plan
+        need, plan = self.float_plan()
         # the plan reads only the first ``need`` values
         if len(values) < need:
             raise _arity_error(values, need)
@@ -445,9 +454,7 @@ class MPoly:
         not a second compile: the leaves are real and float rounding is
         symmetric, so the floats are those of compiling the copy anew.
         """
-        if self._plan is None:
-            self._plan = self._compile(complex)
-        need, plan = self._plan
+        need, plan = self.float_plan()
         q = MPoly._make(self.vars, {e: abs(c) for e, c in self.terms.items()})
         q._plan = need, _abs_plan(plan)
         return q

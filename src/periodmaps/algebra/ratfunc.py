@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import mul
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from ..errors import PoleError
+from ..errors import NonFiniteError, PoleError
 from .gcd import cofactors
-from .poly import MPoly, sum_of_products
+from .poly import NON_FINITE, MPoly, _arity_error, sum_of_products
 
 POLE_REL = 1e-12
+POLE = "denominator vanishes at evaluation point"
 
 
 class RatFunc:
@@ -124,14 +126,14 @@ class RatFunc:
         nv = self.num.eval_values(values)
         dv = self.den.eval_values(values)
         if abs(dv) <= POLE_REL * (1 + abs(nv)):
-            raise PoleError("denominator vanishes at evaluation point")
+            raise PoleError(POLE)
         return nv / dv
 
     def eval_exact(self, point: Sequence) -> Fraction:
         nv = self.num.eval_exact(point)
         dv = self.den.eval_exact(point)
         if dv == 0:
-            raise PoleError("denominator vanishes at evaluation point")
+            raise PoleError(POLE)
         return nv / dv
 
     def __str__(self):
@@ -141,6 +143,75 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def compile_eval(funcs: Sequence[RatFunc]) -> Callable[[Sequence], tuple]:
+    """One straight-line function of a point that returns
+    tuple(f.eval(point) for f in funcs), for objects evaluated thousands
+    of times (a map's step and invariants); one-off polynomials walk their
+    plan with MPoly.eval instead.
+
+    Each numerator and denominator becomes one statement per step of its
+    float plan (MPoly.float_plan), in the order _horner takes them, so
+    every value has the bits RatFunc.eval gives.  The conversion of the
+    point, the arity check, the finiteness tests and the pole test sit
+    where RatFunc.eval has them, so the function raises what the
+    evaluations in turn would raise, with the same messages.  The
+    coefficients reach the code as a tuple argument, not as source text.
+    """
+    lines, consts = [], []
+    temps = count()
+
+    def emit(node) -> str:
+        """Append the statements of a plan node; the name of its value."""
+        if node.__class__ is not tuple:
+            consts.append(node)
+            return f"c{len(consts) - 1}"
+        i, first, steps, last = node
+        acc, t = emit(first), f"t{next(temps)}"
+        for gap, child in steps:
+            child = emit(child)
+            lines.append(f"{t} = {acc} * x{i} ** {gap} + {child}")
+            acc = t
+        if last:
+            lines.append(f"{t} = {acc} * x{i} ** {last}")
+        return t
+
+    converted = checked = 0     # point entries converted / known present
+    for k, f in enumerate(funcs):
+        width = len(f.num.vars)
+        if width > converted:
+            op = "+=" if converted else "="
+            lines.append(
+                f"v {op} [complex(z) for z in pt[{converted}:{width}]]")
+            converted = width
+        values = []
+        for poly in (f.num, f.den):
+            need, plan = poly.float_plan()
+            if need > checked:
+                lines += [f"if len(v) < {need}:",
+                          f"    raise arity_error(v, {need})"]
+                lines += [f"x{i} = v[{i}]" for i in range(checked, need)]
+                checked = need
+            values.append(emit(plan))
+            if plan.__class__ is tuple:     # a constant is finite
+                lines += [f"if not isfinite({values[-1]}):",
+                          "    raise NonFiniteError(NON_FINITE)"]
+        n, d = values
+        lines += [f"if abs({d}) <= POLE_REL * (1 + abs({n})):",
+                  "    raise PoleError(POLE)",
+                  f"q{k} = {n} / {d}"]
+    results = "".join(f"q{k}, " for k in range(len(funcs)))
+    names = "".join(f"c{j}, " for j in range(len(consts)))
+    source = "\n".join(
+        ["def bind(c):", f"    ({names}) = c", "    def evaluate(pt):"]
+        + [f"        {line}" for line in lines]
+        + [f"        return ({results})", "    return evaluate"])
+    scope = {"isfinite": cmath.isfinite, "arity_error": _arity_error,
+             "NonFiniteError": NonFiniteError, "NON_FINITE": NON_FINITE,
+             "PoleError": PoleError, "POLE": POLE, "POLE_REL": POLE_REL}
+    exec(compile(source, "<compile_eval>", "exec"), scope)
+    return scope["bind"](tuple(consts))
 
 
 def compose_parts(p: MPoly,

@@ -25,6 +25,24 @@ def root_sort_key(z: complex):
     return (round(z.real, 12), round(z.imag, 12))
 
 
+def companion_roots(coeffs: Sequence[complex]) -> List[complex]:
+    """The roots np.roots returns for coeffs (leading first and nonzero),
+    with the bits it gives them: the same companion matrix, ones below
+    the diagonal and a first row of -p[1:]/p[0] computed in numpy, and one
+    eigvals call on it.  Each zero constant term is stripped first and
+    its root 0 appended at the end."""
+    p = np.array(coeffs, dtype=complex)
+    n = len(p)
+    while n > 1 and p[n - 1] == 0:
+        n -= 1
+    found = []
+    if n > 1:
+        companion = np.eye(n - 1, k=-1, dtype=complex)
+        companion[0, :] = -p[1:n] / p[0]
+        found = [complex(z) for z in np.linalg.eigvals(companion)]
+    return found + [0j] * (len(p) - n)
+
+
 def roots(coeffs: Sequence[complex], tol: float = DEFAULT_TOL) -> List[complex]:
     """All complex roots (with multiplicity) of sum coeffs[k] z^(n-k).
 
@@ -37,11 +55,9 @@ def roots(coeffs: Sequence[complex], tol: float = DEFAULT_TOL) -> List[complex]:
     if abs(coeffs[0]) <= tol:
         raise RootFindingError("leading coefficient below tolerance")
     scale = max(abs(c) for c in coeffs)
-    raw = np.roots(np.array(coeffs, dtype=complex))
     deriv = [c * (len(coeffs) - 1 - k) for k, c in enumerate(coeffs[:-1])]
     polished = []
-    for r in raw:
-        z = complex(r)
+    for z in companion_roots(coeffs):
         for _ in range(8):
             fz = _poly_value(coeffs, z)
             if abs(fz) <= 1e-3 * tol * (1 + scale):
@@ -69,8 +85,10 @@ def roots(coeffs: Sequence[complex], tol: float = DEFAULT_TOL) -> List[complex]:
 
 def coefficient_values(p: MPoly, var: str, point: dict) -> List[complex]:
     """Values at point of p's coefficients in var, lowest degree first."""
-    return [c.eval([point.get(v, 0j) for v in c.vars])
-            for c in p.as_univariate(var)]
+    slices = p.as_univariate(var)
+    # the slices share one variable tuple, so one conversion serves all
+    values = [complex(point.get(v, 0j)) for v in slices[0].vars]
+    return [c.eval_values(values) for c in slices]
 
 
 def roots_of_values(values: Sequence[complex], var: str,

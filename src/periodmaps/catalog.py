@@ -11,7 +11,7 @@ MAPS: the builder, the parameters, and the defaults other stages use.
 
 from __future__ import annotations
 
-import math
+import cmath
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +20,8 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import MPoly, RatFunc, compose_parts
+from .algebra import (MPoly, RatFunc, companion_roots, compile_eval,
+                      compose_parts, poly_gcd)
 from .biquad import quadratic_coeffs, s_value
 from .errors import (BranchSelectionError, DegenerateParameterError,
                      MissingParameterError, NonFiniteError,
@@ -33,17 +34,21 @@ INVARIANT_POINTS = 20   # regular points at which a build checks invariants
 
 
 def as_point(coords: Sequence[complex]) -> Point:
-    pt = tuple(complex(c) for c in coords)
-    for c in pt:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise NonFiniteError("point has a non-finite coordinate")
+    pt = tuple(map(complex, coords))
+    if not all(map(cmath.isfinite, pt)):
+        raise NonFiniteError("point has a non-finite coordinate")
     return pt
 
 
 @dataclass(frozen=True, eq=False)
 class IntegrableMap:
     """A built map; catalog_get builds one per (name, parameters), so maps
-    compare and hash by identity."""
+    compare and hash by identity.
+
+    Construction compiles the float step of explicit components (None for
+    an implicit map) and the invariant values into one straight-line
+    function of a point each (algebra.compile_eval).
+    """
     name: str
     varnames: Tuple[str, ...]
     params: dict
@@ -52,6 +57,15 @@ class IntegrableMap:
     invariant_names: Tuple[str, ...] = ()
     numeric_apply: Optional[Callable] = None
     exact_apply: Optional[Callable] = None
+    step: Optional[Callable] = field(init=False, repr=False)
+    invariant_values: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        step = (None if self.components is None
+                else compile_eval(self.components))
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "invariant_values",
+                           compile_eval(self.invariants))
 
     @property
     def d(self) -> int:
@@ -139,7 +153,7 @@ def lv_cyclic_apply(x: Point):
             raise SingularSystemError("degenerate consistency condition")
         ts = [-coeffs[2] / coeffs[1]]
     else:
-        ts = [complex(t) for t in np.roots(np.array(coeffs, dtype=complex))]
+        ts = companion_roots(coeffs)
     images = []
     for t in ts:
         img = [t]
@@ -157,26 +171,24 @@ def lv_cyclic_apply(x: Point):
     return images
 
 
-def _make_lv4_apply(invariants):
-    def apply_fn(p: Point) -> Point:
-        candidates = lv_cyclic_apply(p)
-        base = [inv.eval(p) for inv in invariants]
-        best = None
-        best_drift = None
-        for img in candidates:
-            try:
-                vals = [inv.eval(img) for inv in invariants]
-            except PoleError:
-                continue
-            drift = max(abs(v - b) / (1 + abs(b)) for v, b in zip(vals, base))
-            if best_drift is None or drift < best_drift:
-                best, best_drift = img, drift
-        if best is None or best_drift > 1e-6:
-            raise BranchSelectionError(
-                f"no consistency root conserves the invariants (drift {best_drift})")
-        return best
-
-    return apply_fn
+def _lv4_apply(m: IntegrableMap, p: Point) -> Point:
+    """The consistency branch that best conserves m's invariants."""
+    candidates = lv_cyclic_apply(p)
+    base = m.invariant_values(p)
+    best = None
+    best_drift = None
+    for img in candidates:
+        try:
+            vals = m.invariant_values(img)
+        except PoleError:
+            continue
+        drift = max(abs(v - b) / (1 + abs(b)) for v, b in zip(vals, base))
+        if best_drift is None or drift < best_drift:
+            best, best_drift = img, drift
+    if best is None or best_drift > 1e-6:
+        raise BranchSelectionError(
+            f"no consistency root conserves the invariants (drift {best_drift})")
+    return best
 
 
 def _lv4_relations(period):
@@ -202,8 +214,10 @@ def _build_lv4(name, params):
     invs = (_rf(f0 + f1 + f2 + f3, vars=names),
             _rf(f0 * f2 + f1 * f3, vars=names),
             _rf(x * y * z * u, vars=names))
-    return IntegrableMap(name, names, params, None, invs, ("h1", "h2", "r"),
-                         numeric_apply=_make_lv4_apply(invs))
+    # the step is called only once m exists, so it may name m
+    m = IntegrableMap(name, names, params, None, invs, ("h1", "h2", "r"),
+                      numeric_apply=lambda p: _lv4_apply(m, p))
+    return m
 
 
 def _build_toda3(name, params):
@@ -363,11 +377,17 @@ def _build_qrt(name, params):
     if den.is_zero():
         raise DegenerateParameterError("QRT denominator is identically zero")
     comps = (_rf(y, vars=names), _rf(num, den, vars=names))
-    hden = s_value(qpp, y, x)
+    hnum, hden = s_value(qp, y, x), s_value(qpp, y, x)
     if hden.is_zero():
         raise DegenerateParameterError(
             "invariant denominator biquadratic is identically zero")
-    H = _rf(-s_value(qp, y, x), hden, vars=names)
+    # a common factor of S_q' and S_q'' divides S_q' + h S_q'' for every h:
+    # no level set is an irreducible curve for Y to be the other root on
+    if poly_gcd(hnum, hden).total_degree() > 0:
+        raise DegenerateParameterError(
+            "S_q' and S_q'' share a factor, so every curve of the pencil "
+            "q' + h q'' is reducible")
+    H = _rf(-hnum, hden, vars=names)
     return IntegrableMap(name, names, params, comps, (H,), ("h",))
 
 
@@ -548,8 +568,9 @@ def apply_map(m: IntegrableMap, p: Sequence[complex]) -> Point:
     pt = as_point(p)
     if len(pt) != m.d:
         raise NonFiniteError(f"point dimension {len(pt)} != map dimension {m.d}")
-    if m.components is not None:
-        return as_point(tuple(c.eval(pt) for c in m.components))
+    if m.step is not None:
+        # the pole test bounds each |num/den| below 1e12: finite
+        return m.step(pt)
     return as_point(m.numeric_apply(pt))
 
 
@@ -564,8 +585,7 @@ def apply_exact(m: IntegrableMap, p: Sequence) -> tuple:
 
 
 def invariants_eval(m: IntegrableMap, p: Sequence[complex]):
-    pt = as_point(p)
-    return [h.eval(pt) for h in m.invariants]
+    return m.invariant_values(as_point(p))
 
 
 def params_json(params: dict) -> dict:

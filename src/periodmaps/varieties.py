@@ -141,7 +141,7 @@ def membership(g: VarietyGenerator, p: Sequence[complex],
         values = point
         order = g.owner.varnames
     else:
-        values = [H.eval(point) for H in g.owner.invariants]
+        values = g.owner.invariant_values(point)
         order = g.owner.invariant_names
     residuals = []
     ok = True
@@ -156,8 +156,9 @@ def membership(g: VarietyGenerator, p: Sequence[complex],
 # --------------------------------------------------------------- sampling
 
 def _grid_coord(rng: random.Random) -> complex:
-    re = Fraction(rng.randint(-GRID_SPAN, GRID_SPAN), GRID_DENOM)
-    im = Fraction(rng.randint(-GRID_SPAN, GRID_SPAN), GRID_DENOM)
+    # n / GRID_DENOM is exact in floats for every n drawn
+    re = rng.randint(-GRID_SPAN, GRID_SPAN) / GRID_DENOM
+    im = rng.randint(-GRID_SPAN, GRID_SPAN) / GRID_DENOM
     return complex(re, im)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -263,6 +264,48 @@ def test_eliminate_rejects_a_collapsing_moebius_member(capsys):
         assert out == ""
 
 
+def test_a_reducible_qrt_pencil_is_rejected(capsys):
+    # S_q' + h S_q'' = (X + x)(X x + h) for every h: the builder says so
+    # instead of failing its invariant check
+    code, out, err = _run(capsys, "verify", "--map", "qrt", "--period", "3",
+                          "--qp", "0,1,0,0,0,0", "--qpp", "0,0,0,0,1,0")
+    assert code == EXIT_FAIL
+    assert "error: S_q' and S_q'' share a factor" in err
+    assert out == ""
+
+
+# sha256 of whole reports, floats included, with wall_time_ms removed and
+# the rest dumped as the CLI dumps it: any float that moves shows up here
+REPORT_SHA256 = [
+    (["verify", "--map", "toda3", "--period", "3", "--seeds", "5"],
+     "61eafa6c307caadc1b8fdeb4d9ce8c699085cbac14d97a91c6943e35e3774999"),
+    (["verify", "--map", "qrt", "--period", "5", "--qp", "1,2,0,3,1,2",
+      "--qpp", "0,1,1,0,2,1", "--seeds", "5"],
+     "4dce16040ea861b2fa2a8527df67a11e3da2b8b7e06029ebd5649d81bce94c80"),
+    (["verify", "--map", "euler", "--period", "3", "--alpha=1/3",
+      "--beta=1/5", "--gamma=-2/7", "--seeds", "5"],
+     "789fae5c9bfc4dbb216156c0b8f0f674b9a8140eb479e9a360f579c6c55fc3e1"),
+    (["verify", "--map", "moebius2d", "--period", "5", "--a", "2", "--b",
+      "1/3", "--seeds", "5"],
+     "491c2e235d01442ec78e388f7c552b2cd1a723f20fdedbe650829fda132284e0"),
+    (["verify", "--map", "lv4", "--off-variety", "--seeds", "5"],
+     "86420efd3a748c8ffdaa79bc1753f1eb70a2df1380f436b73a73920bf50a231f"),
+    (["sample", "--map", "lv3", "--period", "4", "--seeds", "5"],
+     "729de67d3230df751b3df1ec87eb253dc915231ff26986e9c45cd01dae6164eb"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", REPORT_SHA256,
+                         ids=[" ".join(argv[:3]) for argv, _ in REPORT_SHA256])
+def test_whole_reports_are_pinned(capsys, argv, sha256):
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    rep.pop("wall_time_ms")
+    text = json.dumps(rep, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 def test_two_main_calls_build_one_parser(capsys, monkeypatch):
     import argparse
     built = []
@@ -308,7 +351,6 @@ LV3_P4_F_SHA256 = (
 
 def test_eliminate_without_fixtures_reports_what_it_derives(capsys):
     # lv3 p4 has an elimination setup but no recorded fixture
-    import hashlib
     code, out, _ = _run(capsys, "eliminate", "--map", "lv3", "--period", "4")
     assert code == EXIT_OK
     verdicts = json.loads(out)["verdicts"]
@@ -325,7 +367,6 @@ LV3_P5_F_SHA256 = (
 
 
 def test_eliminate_lv3_period_5_derives_one_recurrence_per_target(capsys):
-    import hashlib
     code, out, _ = _run(capsys, "eliminate", "--map", "lv3", "--period", "5")
     assert code == EXIT_OK
     verdicts = json.loads(out)["verdicts"]

@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from periodmaps.algebra import MPoly, roots, roots_of_poly, root_sort_key
+from periodmaps.algebra import (MPoly, companion_roots, roots, roots_of_poly,
+                                root_sort_key)
 from periodmaps.errors import RootFindingError
 
 BULK_CASES = 1200 + 2000
@@ -84,3 +86,24 @@ def test_roots_of_poly_strips_vanishing_leading_coefficient():
     got = roots_of_poly(p, "x", {"y": 0.0})
     assert len(got) == 1
     assert abs(got[0] - 1) < 1e-9
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_companion_roots_are_np_roots_bit_for_bit(degree):
+    # complex and small-integer coefficients, half of them with 1..degree
+    # zero constant terms, whose roots 0 np.roots appends last
+    rng = random.Random(f"companion:{degree}")
+    for case in range(120):
+        if case % 3:
+            coeffs = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                      for _ in range(degree + 1)]
+        else:
+            coeffs = [complex(rng.randint(-4, 4)) for _ in range(degree + 1)]
+            coeffs[0] = complex(rng.choice((-3, -1, 1, 2)))
+        if case % 2:
+            zeros = rng.randint(1, degree)
+            coeffs[degree + 1 - zeros:] = [0j] * zeros
+        want = [complex(z) for z in np.roots(np.array(coeffs, dtype=complex))]
+        got = companion_roots(coeffs)
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want], coeffs
