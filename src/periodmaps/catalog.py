@@ -1,9 +1,10 @@
 """The concrete integrable maps: components, invariants, parameters.
 
-Explicit maps carry RatFunc components over their coordinate variables.
-Two families are implicit: the 4d Lotka-Volterra map (solved through a
-cyclic Moebius chain plus a quadratic consistency condition) and the
-discrete Euler top in Hirota-Kimura form (a linear 3x3 solve per step).
+Explicit maps carry RatFunc components over their coordinate variables;
+the discrete Euler top in Hirota-Kimura form is one too, its components
+the Cramer-rule solution of its linear 3x3 step.  One family is implicit:
+the 4d Lotka-Volterra map, solved through a cyclic Moebius chain plus a
+quadratic consistency condition.
 
 Everything the package knows about one map sits in its MapSpec record in
 MAPS: the builder, the parameters, and the defaults other stages use.
@@ -17,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .algebra import (MPoly, RatFunc, companion_roots, compile_eval,
                       compose_parts, poly_gcd)
@@ -40,6 +39,11 @@ def as_point(coords: Sequence[complex]) -> Point:
     return pt
 
 
+def rel_dist(p: Sequence[complex], q: Sequence[complex]) -> float:
+    """max |p_i - q_i| / (1 + |q_i|): the distance of p from the reference q."""
+    return max(abs(a - b) / (1 + abs(b)) for a, b in zip(p, q))
+
+
 @dataclass(frozen=True, eq=False)
 class IntegrableMap:
     """A built map; catalog_get builds one per (name, parameters), so maps
@@ -56,7 +60,6 @@ class IntegrableMap:
     invariants: Tuple[RatFunc, ...] = ()
     invariant_names: Tuple[str, ...] = ()
     numeric_apply: Optional[Callable] = None
-    exact_apply: Optional[Callable] = None
     step: Optional[Callable] = field(init=False, repr=False)
     invariant_values: Callable = field(init=False, repr=False)
 
@@ -182,7 +185,7 @@ def _lv4_apply(m: IntegrableMap, p: Point) -> Point:
             vals = m.invariant_values(img)
         except PoleError:
             continue
-        drift = max(abs(v - b) / (1 + abs(b)) for v, b in zip(vals, base))
+        drift = rel_dist(vals, base)
         if best_drift is None or drift < best_drift:
             best, best_drift = img, drift
     if best is None or best_drift > 1e-6:
@@ -261,41 +264,6 @@ def _euler_inertia_from_alpha(al: Fraction, be: Fraction, ga: Fraction):
     return I, J, K
 
 
-def _make_euler_apply(al, be, ga):
-    alc, bec, gac = complex(al), complex(be), complex(ga)
-
-    def apply_fn(p: Point) -> Point:
-        x, y, z = p
-        A = np.array([[1, -alc * z, -alc * y],
-                      [-bec * z, 1, -bec * x],
-                      [-gac * y, -gac * x, 1]], dtype=complex)
-        rhs = np.array([x, y, z], dtype=complex)
-        det = np.linalg.det(A)
-        if abs(det) <= 1e-12 * (1 + float(np.abs(A).max()) ** 3):
-            raise SingularSystemError("Euler step linear system is singular")
-        sol = np.linalg.solve(A, rhs)
-        return as_point(sol)
-
-    def exact_fn(p):
-        x, y, z = p
-        rows = [[Fraction(1), -al * z, -al * y],
-                [-be * z, Fraction(1), -be * x],
-                [-ga * y, -ga * x, Fraction(1)]]
-        det = _det3(rows)
-        if det == 0:
-            raise SingularSystemError("Euler step linear system is singular")
-        sols = []
-        rhs = [x, y, z]
-        for col in range(3):
-            mod = [row[:] for row in rows]
-            for r in range(3):
-                mod[r][col] = rhs[r]
-            sols.append(_det3(mod) / det)
-        return tuple(sols)
-
-    return apply_fn, exact_fn
-
-
 def _det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -316,7 +284,17 @@ def _build_euler(name, params):
         raise MissingParameterError(
             "euler needs either I,J,K or alpha,beta,gamma")
     names = ("x", "y", "z")
-    x, y, z = _vars(names)
+    xs = x, y, z = _vars(names)
+    # the step solves A(x) X = x; Cramer's rule gives its components
+    one = MPoly.const(1)
+    rows = [[one, -al * z, -al * y],
+            [-be * z, one, -be * x],
+            [-ga * y, -ga * x, one]]
+    det = _det3(rows)
+    comps = tuple(
+        _rf(_det3([row[:col] + [v] + row[col + 1:]
+                   for row, v in zip(rows, xs)]), det, vars=names)
+        for col in range(3))
     if I is not None:
         den = 1 - be * ga * x ** 2
         invs = (
@@ -327,13 +305,11 @@ def _build_euler(name, params):
         invs = (
             _rf(1 - be * ga * x ** 2, 1 - ga * al * y ** 2, vars=names),
             _rf(1 - ga * al * y ** 2, 1 - al * be * z ** 2, vars=names))
-    apply_fn, exact_fn = _make_euler_apply(al, be, ga)
     full = dict(params)
     full.update(alpha=al, beta=be, gamma=ga)
     if I is not None:
         full.update(I=I, J=J, K=K)
-    return IntegrableMap(name, names, full, None, invs, ("h1", "h2"),
-                         apply_fn, exact_fn)
+    return IntegrableMap(name, names, full, comps, invs, ("h1", "h2"))
 
 
 def _build_moebius2d(name, params):
@@ -536,7 +512,7 @@ def _verify_invariants(m: IntegrableMap):
         if any(c == 0 for c in pt):
             continue
         try:
-            if m.components is not None or m.exact_apply is not None:
+            if m.components is not None:
                 img = apply_exact(m, pt)
                 before = [h.eval_exact(pt) for h in m.invariants]
                 after = [h.eval_exact(img) for h in m.invariants]
@@ -544,10 +520,10 @@ def _verify_invariants(m: IntegrableMap):
                     raise AssertionError(
                         f"invariant not conserved exactly for {m.name} at {pt}")
             else:
-                fpt = as_point([complex(c) for c in pt])
+                fpt = as_point(pt)
                 img = m.numeric_apply(fpt)
-                before = [h.eval(fpt) for h in m.invariants]
-                after = [h.eval(img) for h in m.invariants]
+                before = m.invariant_values(fpt)
+                after = m.invariant_values(img)
                 if any(abs(x - y) > 1e-8 * (1 + abs(x))
                        for x, y in zip(before, after)):
                     raise AssertionError(
@@ -575,13 +551,11 @@ def apply_map(m: IntegrableMap, p: Sequence[complex]) -> Point:
 
 
 def apply_exact(m: IntegrableMap, p: Sequence) -> tuple:
-    """One exact step (explicit components or exact implicit solver)."""
+    """One exact step through the explicit components."""
+    if m.components is None:
+        raise UnknownMapError(f"{m.name} has no exact step")
     pt = tuple(Fraction(c) for c in p)
-    if m.components is not None:
-        return tuple(c.eval_exact(pt) for c in m.components)
-    if m.exact_apply is not None:
-        return m.exact_apply(pt)
-    raise UnknownMapError(f"{m.name} has no exact step")
+    return tuple(c.eval_exact(pt) for c in m.components)
 
 
 def invariants_eval(m: IntegrableMap, p: Sequence[complex]):

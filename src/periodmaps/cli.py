@@ -129,7 +129,6 @@ def cmd_verify(args) -> int:
               "off_variety": args.off_variety,
               "map_descriptor": descriptor(m)}
     verdicts = []
-    ok = True
     if args.off_variety:
         rng = random.Random(f"cli-off:{args.map}:{args.seed}")
         gens = [V.gamma_get(args.map, n, m=m)
@@ -143,13 +142,10 @@ def cmd_verify(args) -> int:
             except PeriodmapsError as exc:
                 verdicts.append({"seed": args.seed + i, "pass": False,
                                  "error": str(exc)})
-                ok = False
                 continue
-            good = not any(flags)
-            verdicts.append({"seed": args.seed + i, "pass": good,
+            verdicts.append({"seed": args.seed + i, "pass": not any(flags),
                              "returns": [n for n, f in
                                          zip(range(2, 13), flags) if f]})
-            ok = ok and good
     else:
         # a map periodic everywhere has no variety: any point will do
         everywhere = MAPS[args.map].period is not None
@@ -166,17 +162,14 @@ def cmd_verify(args) -> int:
             except PeriodmapsError as exc:
                 verdicts.append({"seed": seed, "pass": False,
                                  "error": str(exc)})
-                ok = False
                 continue
-            good = rep.passed(args.tol)
             verdicts.append({
-                "seed": seed, "pass": good,
+                "seed": seed, "pass": rep.passed(args.tol),
                 "residual": rep.return_error, "drift": rep.drift,
                 "primitive": rep.primitive,
             })
-            ok = ok and good
     _emit(args, _report(args, config, verdicts, t0))
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_FAIL
 
 
 def cmd_sample(args) -> int:
@@ -188,7 +181,6 @@ def cmd_sample(args) -> int:
               "seeds": args.seeds, "seed": args.seed, "tol": args.tol,
               "gammas": [str(p) for p in g.gammas]}
     verdicts = []
-    ok = True
     for i in range(args.seeds):
         seed = args.seed + i
         try:
@@ -196,16 +188,14 @@ def cmd_sample(args) -> int:
             member, residuals = V.membership(g, p, tol=args.tol)
         except PeriodmapsError as exc:
             verdicts.append({"seed": seed, "pass": False, "error": str(exc)})
-            ok = False
             continue
         verdicts.append({
             "seed": seed, "pass": member,
             "point": [[c.real, c.imag] for c in p],
             "residual": max(residuals),
         })
-        ok = ok and member
     _emit(args, _report(args, config, verdicts, t0))
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_FAIL
 
 
 def cmd_eliminate(args) -> int:

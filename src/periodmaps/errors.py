@@ -58,7 +58,8 @@ class PoleError(PeriodmapsError):
 
 
 class SingularSystemError(PeriodmapsError):
-    """A linear system that defines an implicit map step is singular."""
+    """The consistency condition of lv4's implicit step, the only implicit
+    map, degenerates and determines no image."""
 
 
 class BranchSelectionError(PeriodmapsError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .catalog import IntegrableMap, apply_map, invariants_eval
+from .catalog import IntegrableMap, apply_map, invariants_eval, rel_dist
 from .errors import PoleError, SingularSystemError
 
 Point = Tuple[complex, ...]
@@ -35,10 +35,6 @@ class OrbitReport:
                 and not self.fixed_point)
 
 
-def _rel_dist(p: Sequence[complex], q: Sequence[complex]) -> float:
-    return max(abs(a - b) / (1 + abs(b)) for a, b in zip(p, q))
-
-
 def iterate(m: IntegrableMap, p0: Sequence[complex], n: int) -> List[Point]:
     """[p0, p1, ..., pn]; a pole reports the step at which it occurred."""
     cur = tuple(complex(c) for c in p0)
@@ -58,12 +54,12 @@ def verify_period(m: IntegrableMap, p0: Sequence[complex], n: int,
         raise ValueError("periods start at 2; fixed points are excluded")
     pts = iterate(m, p0, n)
     start = pts[0]
-    return_error = _rel_dist(pts[n], start)
-    fixed_point = _rel_dist(pts[1], start) <= tol
+    return_error = rel_dist(pts[n], start)
+    fixed_point = rel_dist(pts[1], start) <= tol
     primitive = return_error <= tol and not fixed_point
     if primitive:
         for d in range(2, n):
-            if n % d == 0 and _rel_dist(pts[d], start) <= tol:
+            if n % d == 0 and rel_dist(pts[d], start) <= tol:
                 primitive = False
                 break
     drift = _drift_along(m, pts)
@@ -78,9 +74,7 @@ def _drift_along(m: IntegrableMap, pts: Sequence[Point]) -> float:
     base = invariants_eval(m, pts[0])
     worst = 0.0
     for p in pts[1:]:
-        vals = invariants_eval(m, p)
-        for got, ref in zip(vals, base):
-            worst = max(worst, abs(got - ref) / (1 + abs(ref)))
+        worst = max(worst, rel_dist(invariants_eval(m, p), base))
     return worst
 
 
@@ -104,7 +98,7 @@ def exclusivity_scan(m: IntegrableMap, p0: Sequence[complex], n_max: int,
             cur = apply_map(m, cur)
             for n in range(2, n_max + 1):
                 cur = apply_map(m, cur)
-                flags.append(_rel_dist(cur, start) <= tol)
+                flags.append(rel_dist(cur, start) <= tol)
             return flags
         except (PoleError, SingularSystemError):
             eps = 1e-5 * (attempt + 1)

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from periodmaps.algebra import MPoly, RatFunc
@@ -12,8 +13,8 @@ from periodmaps.catalog import (
     MAP_NAMES, IntegrableMap, _verify_invariants, apply_exact, apply_map,
     catalog_get, descriptor, invariants_eval, lv_cyclic_apply)
 from periodmaps.errors import (
-    DegenerateParameterError, MissingParameterError, PoleError,
-    UnknownMapError)
+    BranchSelectionError, DegenerateParameterError, MissingParameterError,
+    PoleError, SingularSystemError, UnknownMapError)
 
 QP = (1, 2, 0, 3, 1, 2)
 QPP = (0, 1, 1, 0, 2, 1)
@@ -153,15 +154,16 @@ def test_lv4_exact_step_satisfies_defining_relation():
     m = _get("lv4")
     rng = random.Random("catalog-lv4")
     checked = 0
-    while checked < 25:
+    for _ in range(200):
+        if checked == 25:
+            break
         pt = tuple(Fraction(rng.randint(-15, 15), rng.randint(1, 5))
                    for _ in range(4))
         if any(c == 0 for c in pt):
             continue
         try:
-            img = m.exact_apply(pt) if m.exact_apply else apply_map(
-                m, [complex(c) for c in pt])
-        except Exception:
+            img = apply_map(m, [complex(c) for c in pt])
+        except (PoleError, BranchSelectionError, SingularSystemError):
             continue
         # X_j (1 - X_{j-1}) = x_j (1 - x_{j+1}) cyclically
         for j in range(4):
@@ -169,6 +171,7 @@ def test_lv4_exact_step_satisfies_defining_relation():
             rhs = complex(pt[j]) * (1 - complex(pt[(j + 1) % 4]))
             assert abs(lhs - rhs) <= 1e-7 * (1 + abs(rhs))
         checked += 1
+    assert checked == 25
 
 
 def test_lv_cyclic_apply_returns_both_branches_generically():
@@ -198,6 +201,56 @@ def test_euler_generic_alpha_ratio_invariants_conserved():
     img = apply_exact(m, pt)
     for h in m.invariants:
         assert h.eval_exact(pt) == h.eval_exact(img)
+
+
+EULER_PARAMS = [{"I": 2, "J": 3, "K": 5},
+                {"alpha": Fraction(1, 3), "beta": Fraction(1, 5),
+                 "gamma": Fraction(-2, 7)}]
+
+
+def _euler_matrix(m, p):
+    al, be, ga = (m.params[k] for k in ("alpha", "beta", "gamma"))
+    x, y, z = p
+    return [[1, -al * z, -al * y], [-be * z, 1, -be * x],
+            [-ga * y, -ga * x, 1]]
+
+
+@pytest.mark.parametrize("params", EULER_PARAMS, ids=["inertia", "alpha"])
+def test_euler_exact_step_solves_the_hirota_kimura_system(params):
+    # the step is X with A(x) X = x, exactly
+    m = catalog_get("euler", params=params)
+    assert m.components is not None
+    rng = random.Random(f"euler-exact:{sorted(params)}")
+    checked = 0
+    for _ in range(100):
+        if checked == 20:
+            break
+        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                   for _ in range(3))
+        try:
+            img = apply_exact(m, pt)
+        except PoleError:
+            continue
+        A = _euler_matrix(m, pt)
+        assert [sum(a * X for a, X in zip(row, img)) for row in A] == \
+            list(pt)
+        checked += 1
+    assert checked == 20
+
+
+@pytest.mark.parametrize("params", EULER_PARAMS, ids=["inertia", "alpha"])
+def test_euler_float_step_matches_a_linear_solve(params):
+    m = catalog_get("euler", params=params)
+    rng = random.Random(f"euler-float:{sorted(params)}")
+    for _ in range(50):
+        pt = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+              for _ in range(3)]
+        A = np.array([[complex(a) for a in row]
+                      for row in _euler_matrix(m, pt)])
+        want = np.linalg.solve(A, np.array(pt))
+        got = apply_map(m, pt)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * (1 + abs(w))
 
 
 def test_numeric_and_exact_steps_agree():
@@ -230,9 +283,8 @@ def _shift(p):
 
 @pytest.mark.parametrize("step", [
     {"components": (RatFunc(MPoly.var("x") + 1),)},
-    {"components": None, "exact_apply": _shift},
     {"components": None, "numeric_apply": _shift},
-], ids=["explicit", "exact-implicit", "numeric-only"])
+], ids=["explicit", "numeric-only"])
 def test_invariant_check_rejects_a_non_conserved_invariant(step):
     # x -> x + 1 does not conserve h = x, whatever kind of step carries it
     m = IntegrableMap(name="shift", varnames=("x",), params={},

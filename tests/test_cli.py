@@ -284,7 +284,7 @@ REPORT_SHA256 = [
      "4dce16040ea861b2fa2a8527df67a11e3da2b8b7e06029ebd5649d81bce94c80"),
     (["verify", "--map", "euler", "--period", "3", "--alpha=1/3",
       "--beta=1/5", "--gamma=-2/7", "--seeds", "5"],
-     "789fae5c9bfc4dbb216156c0b8f0f674b9a8140eb479e9a360f579c6c55fc3e1"),
+     "c39a8ffcc277cc104f4e6d6b0fe9e9bcc11abd631113844f4b70064676f0644c"),
     (["verify", "--map", "moebius2d", "--period", "5", "--a", "2", "--b",
       "1/3", "--seeds", "5"],
      "491c2e235d01442ec78e388f7c552b2cd1a723f20fdedbe650829fda132284e0"),

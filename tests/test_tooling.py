@@ -142,3 +142,14 @@ def test_a_function_level_import_only_breaks_a_cycle():
                         f"{fn.name} imports {targets[0]}")
     assert not misplaced, "function-level imports with no cycle:\n" + \
         "\n".join(misplaced.values())
+
+
+def test_only_the_root_finder_imports_numpy():
+    """numpy is the eigenvalue boundary of algebra.roots; every other
+    module computes in Python numbers."""
+    importers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(t.split(".")[0] == "numpy" for t in _import_targets(path, tree)):
+            importers.append(str(path.relative_to(PACKAGE)))
+    assert importers == ["algebra/roots.py"]
