@@ -56,69 +56,11 @@ class RatFunc:
         return r
 
     @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(MPoly.const(Fraction(c)))
-
-    @classmethod
     def var(cls, name: str) -> "RatFunc":
         return cls(MPoly.var(name))
 
-    @classmethod
-    def of(cls, value) -> "RatFunc":
-        if isinstance(value, RatFunc):
-            return value
-        if isinstance(value, MPoly):
-            return cls(value)
-        return cls.const(value)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den.total_degree() == 0
-
-    def __add__(self, other):
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        # already reduced and normalised: only the numerator's sign moves
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __sub__(self, other):
-        return self + (-RatFunc.of(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFunc.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc.of(other) / self
-
-    def __eq__(self, other):
-        if not isinstance(other, (RatFunc, MPoly, int, Fraction)):
-            return NotImplemented
-        other = RatFunc.of(other)
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def eval(self, point: Sequence[complex]) -> complex:
         # num and den share their variables, so one conversion serves both
@@ -140,9 +82,6 @@ class RatFunc:
         if self.is_polynomial() and self.den == MPoly.const(1):
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RatFunc({self})"
 
 
 def compile_eval(funcs: Sequence[RatFunc]) -> Callable[[Sequence], tuple]:

@@ -189,8 +189,16 @@ def _lv4_apply(m: IntegrableMap, p: Point) -> Point:
         if best_drift is None or drift < best_drift:
             best, best_drift = img, drift
     if best is None or best_drift > 1e-6:
-        raise BranchSelectionError(
-            f"no consistency root conserves the invariants (drift {best_drift})")
+        message = ("no consistency root conserves the invariants "
+                   f"(drift {best_drift})")
+        ones = [v for v, c in zip(m.varnames, p) if c == 1]
+        if ones:
+            # on x_(j+1) = 1 the chain's X_j(1 - X_(j-1)) = x_j(1 - x_(j+1))
+            # is 0, so the image has X_j = 0 and r = 0
+            on = " and ".join(f"{v} = 1" for v in ones)
+            message += (f"; the point lies on {on}, where the cyclic chain "
+                        "forces a coordinate, and so r, to 0")
+        raise BranchSelectionError(message)
     return best
 
 

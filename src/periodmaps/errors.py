@@ -89,6 +89,3 @@ class EliminationError(PeriodmapsError):
 class NotRecordedError(EliminationError):
     """No elimination or fixture recorded for the requested (map, period) pair."""
 
-
-class DegenerateFamilyError(PeriodmapsError):
-    """Symbolic parameter iteration hit an identically-zero denominator."""

@@ -1,11 +1,11 @@
 """Moebius parameter dynamics and the period-n parameter varieties.
 
 One map step sends x to h(x + a)/(1 + bx), the projective action of the
-matrix M = [[h, h*a], [b, 1]].  Composing steps keeps the Moebius shape
-and only moves the parameter triple: ``param_step`` is the product
-P <- M*P on P = [[p, q], [r, s]], read back as a_n = q/p, b_n = r/s and
-h_n = p/s.  A point (a, b, h) has period n when M^n is a multiple of the
-identity.  By Cayley-Hamilton M^n = alpha_n*M - det*alpha_(n-1)*I, with
+matrix M = [[h, h*a], [b, 1]].  Composing k steps keeps the Moebius shape:
+M^k = [[p, q], [r, s]] (``step_matrix_power``) is the k-step map with
+parameters a_k = q/p, b_k = r/s and h_k = p/s.  A point (a, b, h) has
+period n when M^n is a multiple of the identity.  By Cayley-Hamilton
+M^n = alpha_n*M - det*alpha_(n-1)*I, with
 alpha_(k+1) = tr*alpha_k - det*alpha_(k-1), alpha_0 = 0, alpha_1 = 1,
 tr = h + 1 and det = h(1 - ab); M itself is not scalar, so the period-n
 condition is alpha_n = 0.  alpha_n with the generators of the proper
@@ -16,58 +16,14 @@ derives the family's recurrences F(x, X) from these generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MPoly, RatFunc, exact_divide, normalize
-from .errors import DegenerateFamilyError, DegenerateParameterError
+from .algebra import MPoly, exact_divide, normalize
 
 _ABH = ("a", "b", "h")
 # the generators' variable tuple; the relations built from them print their
 # monomials in its order
 _HBA = ("h", "b", "a")
-
-
-@dataclass(frozen=True)
-class MoebiusParams:
-    a: RatFunc
-    b: RatFunc
-    h: RatFunc
-
-    @classmethod
-    def numeric(cls, a, b, h) -> "MoebiusParams":
-        a, b, h = Fraction(a), Fraction(b), Fraction(h)
-        if a * b == 1:
-            raise DegenerateParameterError("a*b = 1 collapses the Moebius map")
-        if h == 0:
-            raise DegenerateParameterError("h = 0 collapses the Moebius map")
-        return cls(RatFunc.const(a), RatFunc.const(b), RatFunc.const(h))
-
-
-@dataclass(frozen=True)
-class MoebiusState:
-    a_n: RatFunc
-    b_n: RatFunc
-    h_n: RatFunc
-
-
-def initial_state(base: MoebiusParams) -> MoebiusState:
-    return MoebiusState(base.a, base.b, base.h)
-
-
-def param_step(base: MoebiusParams, s: MoebiusState) -> MoebiusState:
-    """One composition step of the parameter triple."""
-    a, b, h = base.a, base.b, base.h
-    den1 = s.h_n + a * s.b_n
-    den2 = RatFunc.const(1) + b * s.h_n * s.a_n
-    if den1.is_zero() or den2.is_zero():
-        raise DegenerateFamilyError(
-            "parameter recursion hit an identically-zero denominator")
-    return MoebiusState(
-        a_n=(a + s.a_n * s.h_n) / den1,
-        b_n=(s.b_n + b * s.h_n) / den2,
-        h_n=h * den1 / den2)
 
 
 def step_matrix_power(k: int):

@@ -24,10 +24,6 @@ class OrbitReport:
     primitive: bool
     fixed_point: bool
 
-    @property
-    def period(self) -> int:
-        return len(self.points) - 1
-
     def passed(self, tol: float) -> bool:
         """The period verdict: the orbit returns and conserves the
         invariants within tol, and its start is not a fixed point."""
@@ -76,11 +72,6 @@ def _drift_along(m: IntegrableMap, pts: Sequence[Point]) -> float:
     for p in pts[1:]:
         worst = max(worst, rel_dist(invariants_eval(m, p), base))
     return worst
-
-
-def conservation(m: IntegrableMap, p0: Sequence[complex], n: int) -> float:
-    """Max relative invariant deviation from the step-0 values over n steps."""
-    return _drift_along(m, iterate(m, p0, n))
 
 
 def exclusivity_scan(m: IntegrableMap, p0: Sequence[complex], n_max: int,

@@ -11,13 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from periodmaps.algebra import equal_up_to_scale, parse_poly, roots
-from periodmaps.biquad import (
-    GAMMAS, follow, from_3dlv_symbolic, on_pencil, sample_on_gamma)
+from periodmaps.algebra import (
+    MPoly, compose_parts, equal_up_to_scale, parse_poly, roots)
+from periodmaps.biquad import GAMMAS, from_3dlv_symbolic, on_pencil
 from periodmaps.catalog import apply_map, catalog_get
 from periodmaps.elim import default_transitions, derive, fixtures_for
-from periodmaps.errors import (
-    DegenerateParameterError, PeriodmapsError, RootFindingError)
+from periodmaps.errors import PeriodmapsError, RootFindingError
 from periodmaps.moebius import derive_gamma
 from periodmaps.orbit import exclusivity_scan, verify_period
 from periodmaps.varieties import gamma_get, membership, sample_on_variety
@@ -228,23 +227,24 @@ def test_criterion_6_moebius_derivation():
 
 def test_criterion_7_biquadratic_bridge():
     subs = dict(zip(("a", "b", "c", "d", "e", "f"), from_3dlv_symbolic()))
-    from periodmaps.algebra import MPoly, compose_parts
     r, s = MPoly.var("r"), MPoly.var("s")
     identity_ok = compose_parts(GAMMAS[3], subs)[0] == \
         -s * (r ** 2 + s ** 2 - r * s + r + s + 1)
 
+    # closures: points drawn on gamma^(n) of the pencil q' + h q'' start
+    # qrt orbits that return after n steps, as `verify --map qrt` checks
+    m = catalog_get("qrt", qp=(1, 2, 0, 3, 1, 2), qpp=(0, 1, 1, 0, 2, 1))
     counts = {}
     ok = True
     for n in (3, 4, 5):
+        g = gamma_get("qrt", n, m=m)
         passed = 0
         for seed in range(50):
             try:
-                q = sample_on_gamma(n, seed)
-                orbit = follow(q, 0.31 + 0.17j, n)
-                if abs(orbit[n] - orbit[0]) <= 1e-8 * (1 + abs(orbit[0])):
-                    passed += 1
-            except (DegenerateParameterError, RootFindingError):
+                rep = verify_period(m, sample_on_variety(g, seed), n)
+            except PeriodmapsError:
                 continue      # degeneracy guards account for the rest
+            passed += rep.passed(1e-9)
         counts[n] = passed
         ok = ok and passed >= 45
     _verdict(7, identity_ok and ok,
@@ -252,21 +252,18 @@ def test_criterion_7_biquadratic_bridge():
 
 
 def test_criterion_8_qrt_recurrences():
-    from periodmaps.algebra import MPoly, RatFunc
     qp, qpp = (1, 2, 0, 3, 1, 2), (0, 1, 1, 0, 2, 1)
-    H0 = catalog_get("qrt", qp=qp, qpp=qpp).invariants[0]
-    H = RatFunc(MPoly(("x", "X"), H0.num.with_vars(("x", "y")).terms),
-                MPoly(("x", "X"), H0.den.with_vars(("x", "y")).terms))
-    vals = {k: RatFunc.const(a) + H * RatFunc.const(b)
-            for k, a, b in zip("abcdef", qp, qpp)}
-    display = (vals["a"] * vals["f"] - vals["b"] * vals["e"]
-               - RatFunc.const(3) * vals["c"] * vals["c"]
-               + vals["c"] * vals["d"])
+    H = catalog_get("qrt", qp=qp, qpp=qpp).invariants[0]
+    # the display polynomial on the pencil, with h = H(x, X) substituted
+    gamma = parse_poly("a*f - b*e - 3*c^2 + c*d", ("a", "b", "c", "d", "e", "f"))
+    h = tuple(MPoly(("x", "X"), p.with_vars(("x", "y")).terms)
+              for p in (H.num, H.den))
+    display, _ = compose_parts(on_pencil(gamma, qp, qpp), {"h": h})
     params = {"qp": qp, "qpp": qpp}
     derived = derive("qrt", 3, params=params,
                      transitions=default_transitions("qrt", 3, params))
     symbolic_ok = (len(derived) == 1
-                   and equal_up_to_scale(display.num, derived[0]))
+                   and equal_up_to_scale(display, derived[0]))
 
     rng = random.Random("acceptance8")
 

@@ -1,14 +1,14 @@
-"""Symmetric biquadratic correspondences: branches and generators."""
+"""Symmetric biquadratic correspondences: the formula and its generators."""
 
 from fractions import Fraction
 
 import pytest
 
-from periodmaps.algebra import MPoly, compose_parts, parse_poly
-from periodmaps.biquad import (
-    GAMMAS, coerce_params, follow, from_3dlv_symbolic, gamma_biquad, s_value,
-    sample_on_gamma, solve_branches)
-from periodmaps.errors import DegenerateParameterError
+from periodmaps.algebra import MPoly, compose_parts
+from periodmaps.biquad import GAMMAS, from_3dlv_symbolic, s_value
+from periodmaps.catalog import catalog_get
+from periodmaps.orbit import verify_period
+from periodmaps.varieties import gamma_get, sample_on_variety
 
 Q = tuple(Fraction(c) for c in (1, -2, 3, 1, 2, -1))
 
@@ -27,45 +27,15 @@ def test_s_value_over_polynomials_evaluates_to_s_value_over_numbers():
         assert abs(S.eval([X, x]) - want) <= 1e-12 * (1 + abs(want))
 
 
-def test_solve_branches_satisfy_the_correspondence():
-    for x in (0.4, -1.3 + 0.2j, 2.75):
-        for X in solve_branches(Q, x):
-            assert abs(s_value(Q, X, x)) < 1e-7
-
-
-def test_coerce_params_guards():
-    with pytest.raises(DegenerateParameterError):
-        coerce_params((1, 2, 3))
-    with pytest.raises(DegenerateParameterError):
-        coerce_params((0, 0, 0, 0, 0, 0))
-
-
-def test_follow_does_not_backtrack():
-    orbit = follow(Q, 0.8, 6)
-    for k in range(2, len(orbit)):
-        # each step satisfies the correspondence with its predecessor
-        assert abs(s_value(Q, orbit[k], orbit[k - 1])) < 1e-6
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_sample_on_gamma_lands_on_the_generator(n):
-    for seed in range(4):
-        q = sample_on_gamma(n, seed)
-        assert q == sample_on_gamma(n, seed)
-        val = gamma_biquad(n, q)
-        bound = 1e-7 * (1 + float(GAMMAS[n].max_abs_coeff()))
-        if n in (3, 4):
-            assert val == 0
-        else:
-            assert abs(complex(val)) <= bound
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_orbits_on_gamma_close_up(n):
+    # points the sampler draws on gamma^(n) of the pencil q' + h q'' start
+    # qrt orbits that return after n steps
+    m = catalog_get("qrt", qp=(1, 2, 0, 3, 1, 2), qpp=(0, 1, 1, 0, 2, 1))
+    g = gamma_get("qrt", n, m=m)
     for seed in range(5):
-        q = sample_on_gamma(n, seed)
-        orbit = follow(q, 0.31 + 0.07j, n)
-        assert abs(orbit[n] - orbit[0]) < 1e-6, (n, seed)
+        rep = verify_period(m, sample_on_variety(g, seed), n)
+        assert rep.return_error < 1e-6, (n, seed)
 
 
 def test_3dlv_identification_symbolic_identity():

@@ -93,6 +93,20 @@ def test_fixtures_command_reports_verdicts(capsys):
     assert all(v["behavioral"] and v["symbolic"] for v in rep["verdicts"])
 
 
+def test_lv4_names_the_hyperplane_it_degenerates_on(capsys):
+    # on x_j = 1 the cyclic chain forces an image coordinate, and r, to 0
+    code, _, err = _run(capsys, "orbit", "--map", "lv4", "--init", "1,2,3,4",
+                        "--steps", "4")
+    assert code == EXIT_FAIL
+    assert "(drift 0.96); the point lies on x = 1," in err
+    code, out, _ = _run(capsys, "verify", "--map", "lv4", "--period", "2",
+                        "--seed", "560106")
+    assert code == EXIT_FAIL
+    first, *rest = json.loads(out)["verdicts"]
+    assert "the point lies on z = 1, where the cyclic chain" in first["error"]
+    assert all(v["pass"] for v in rest)
+
+
 def test_unknown_variety_is_a_usage_error(capsys):
     code, _, err = _run(capsys, "sample", "--map", "lv3", "--period", "9")
     assert code == EXIT_USAGE

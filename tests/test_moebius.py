@@ -13,12 +13,12 @@ from periodmaps.algebra import (
     MPoly, equal_up_to_scale, exact_divide, normalize, parse_poly, roots,
     strip_var_monomials)
 from periodmaps.algebra.gcd import _prs_gcd
+from periodmaps.catalog import catalog_get
 from periodmaps.elim import derive, fixtures_for
 from periodmaps.errors import (
     DegenerateParameterError, InexactDivisionError, MissingParameterError)
 from periodmaps.moebius import (
-    MoebiusParams, derive_gamma, initial_state, param_step,
-    power_coefficients, step_matrix_power)
+    derive_gamma, power_coefficients, step_matrix_power)
 
 GAMMA_TEXTS = {
     2: "1 + h",
@@ -144,36 +144,21 @@ def test_scalar_orbit_is_periodic_on_the_parameter_variety():
             assert abs(x - (0.37 + 0.11j)) < 1e-8, (n, h)
 
 
-def test_param_step_composes_the_map():
-    # the initial state is the one-step triple; each param_step adds a step
-    base = MoebiusParams.numeric(2, Fraction(1, 3), Fraction(5, 7))
-    s = initial_state(base)
-    for _ in range(2):
-        s = param_step(base, s)
-    a, b, h = (Fraction(2), Fraction(1, 3), Fraction(5, 7))
-    x = Fraction(4, 9)
-    y = x
-    for _ in range(3):
-        y = h * (y + a) / (1 + b * y)
-    an = s.a_n.eval_exact([])
-    bn = s.b_n.eval_exact([])
-    hn = s.h_n.eval_exact([])
-    assert y == hn * (x + an) / (1 + bn * x)
-
-
-def test_matrix_powers_agree_with_param_step():
-    # P = M^k read back as (q/p, r/s, p/s) is the state after k - 1 steps
+def test_matrix_powers_compose_the_map():
+    # M^k = [[p, q], [r, s]] read back as (a_k, b_k, h_k) = (q/p, r/s, p/s)
+    # is the k-step map x -> h_k(x + a_k)/(1 + b_k x); four points pin a
+    # Moebius map
     a, b, h = Fraction(2), Fraction(1, 3), Fraction(5, 7)
     point = {"a": a, "b": b, "h": h}
-    base = MoebiusParams.numeric(a, b, h)
-    state = initial_state(base)
+    xs = (Fraction(4, 9), Fraction(-2), Fraction(3, 5), Fraction(0))
+    ys = list(xs)
     for k in range(1, 6):
+        ys = [h * (y + a) / (1 + b * y) for y in ys]
         (p, q), (r, s) = (
             [e.subs_values(point).constant_term() for e in row]
             for row in step_matrix_power(k))
-        assert (q / p, r / s, p / s) == tuple(
-            v.eval_exact([]) for v in (state.a_n, state.b_n, state.h_n)), k
-        state = param_step(base, state)
+        ak, bk, hk = q / p, r / s, p / s
+        assert ys == [hk * (x + ak) / (1 + bk * x) for x in xs], k
 
 
 def test_cayley_hamilton_gives_every_matrix_power():
@@ -255,7 +240,6 @@ def test_derive_gamma_against_matrix_order_oracle(n):
 
 
 def test_degenerate_parameter_guards():
+    # a*b = 1 makes M = [[h, h*a], [b, 1]] singular: a constant map
     with pytest.raises(DegenerateParameterError):
-        MoebiusParams.numeric(2, Fraction(1, 2), 1)
-    with pytest.raises(DegenerateParameterError):
-        MoebiusParams.numeric(2, 3, 0)
+        catalog_get("moebius2d", a=2, b=Fraction(1, 2))

@@ -6,8 +6,7 @@ import pytest
 
 from periodmaps.catalog import catalog_get
 from periodmaps.errors import PoleError
-from periodmaps.orbit import (
-    conservation, exclusivity_scan, iterate, orbit_csv, verify_period)
+from periodmaps.orbit import exclusivity_scan, iterate, orbit_csv, verify_period
 from periodmaps.varieties import gamma_get, sample_on_variety
 
 
@@ -57,12 +56,12 @@ def test_period_below_two_rejected():
 
 def test_drift_is_zero_without_invariants():
     m = catalog_get("lyness5")
-    assert conservation(m, (1.25, 0.75), 7) == 0.0
+    assert verify_period(m, (1.25, 0.75), 7).drift == 0.0
 
 
 def test_lv3_conservation_along_generic_orbit():
     m = catalog_get("lv3")
-    assert conservation(m, (0.4, 1.7, -2.3), 12) <= 1e-10
+    assert verify_period(m, (0.4, 1.7, -2.3), 12).drift <= 1e-10
 
 
 def test_exclusivity_generic_point_returns_nowhere():

@@ -6,13 +6,12 @@ import json
 import pytest
 
 from periodmaps.algebra import (
-    MPoly, RatFunc, equal_up_to_scale, parse_poly, roots, roots_of_poly)
-from periodmaps.biquad import (
-    GAMMAS, follow, gamma_biquad, on_pencil, reduce_to_biquadratic, s_value)
+    MPoly, compose_parts, equal_up_to_scale, parse_poly, roots, roots_of_poly)
+from periodmaps.biquad import GAMMAS, on_pencil, s_value
 from periodmaps.catalog import apply_map, catalog_get, invariants_eval
 from periodmaps.cli import main
 from periodmaps.elim import default_transitions, derive
-from periodmaps.errors import MissingParameterError
+from periodmaps.errors import MissingParameterError, PeriodmapsError
 
 QP = (1, 2, 0, 3, 1, 2)
 QPP = (0, 1, 1, 0, 2, 1)
@@ -46,7 +45,7 @@ def test_reduction_to_biquadratic_is_consistent_with_the_orbit():
     m = _map()
     pt = (0.7, -0.4)
     h, = invariants_eval(m, pt)
-    q = reduce_to_biquadratic(QP, QPP, h)
+    q = tuple(a + h * b for a, b in zip(QP, QPP))
     xs = [pt[0]]
     for _ in range(5):
         pt = apply_map(m, pt)
@@ -55,21 +54,40 @@ def test_reduction_to_biquadratic_is_consistent_with_the_orbit():
         assert abs(s_value(q, xs[k + 1], xs[k])) < 1e-7
 
 
+def _closes(m, pt, n, tol):
+    """Does the qrt orbit of pt return after n steps, within tol?"""
+    start = pt
+    try:
+        for _ in range(n):
+            pt = apply_map(m, pt)
+    except PeriodmapsError:
+        return None
+    return all(abs(u - v) < tol for u, v in zip(pt, start))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_gamma_in_h_roots_give_periodic_level_sets(n):
+    m = _map()
+    H = m.invariants[0]
     g = on_pencil(GAMMAS[n], QP, QPP)
     dense = [c.constant_term() for c in g.as_univariate("h")]
     hs = roots([complex(c) for c in reversed(dense)], tol=1e-9)
     assert hs, "the pencil polynomial must have roots"
+    x0 = 0.23 + 0.19j
     hit = 0
     for h in hs:
-        q = reduce_to_biquadratic(QP, QPP, h)
-        assert abs(complex(gamma_biquad(n, q))) < 1e-6 * (1 + abs(h)) ** 6
-        try:
-            orbit = follow(q, 0.23 + 0.19j, n)
-        except Exception:
+        q = [complex(a) + h * b for a, b in zip(QP, QPP)]
+        assert abs(GAMMAS[n].eval(q)) < 1e-6 * (1 + abs(h)) ** 6
+        # the points (x0, y) of the level set H = h: num_H - h den_H = 0
+        num = [c.eval([x0]) for c in H.num.as_univariate("y")]
+        den = [c.eval([x0]) for c in H.den.as_univariate("y")]
+        num += [0] * (3 - len(num))
+        den += [0] * (3 - len(den))
+        co = [num[k] - h * den[k] for k in range(3)]
+        if abs(co[2]) < 1e-12:
             continue
-        if abs(orbit[n] - orbit[0]) < 1e-6:
+        if any(_closes(m, (x0, y0), n, 1e-6)
+               for y0 in roots(co[::-1], tol=1e-8)):
             hit += 1
     assert hit >= 1
 
@@ -80,26 +98,23 @@ def _in_x_X(p: MPoly) -> MPoly:
 
 
 def test_recurrence_matches_direct_rational_arithmetic():
-    # independent reconstruction: evaluate the generating polynomial on
-    # q' + H(x, X) q'' with plain rational-function arithmetic
+    # independent reconstruction, with no resultant: put the generating
+    # polynomial on the pencil q' + h q'' and substitute h = H(x, X)
     F = _recurrence(3)
-    H0 = _map().invariants[0]
-    H = RatFunc(_in_x_X(H0.num), _in_x_X(H0.den))
-    vals = {}
-    for name, ap, app in zip(("a", "b", "c", "d", "e", "f"), QP, QPP):
-        vals[name] = RatFunc.const(ap) + H * RatFunc.const(app)
-    combo = (vals["a"] * vals["f"] - vals["b"] * vals["e"]
-             - RatFunc.const(3) * vals["c"] * vals["c"]
-             + vals["c"] * vals["d"])
-    assert equal_up_to_scale(combo.num, F)
+    H = _map().invariants[0]
+    gamma = parse_poly("a*f - b*e - 3*c^2 + c*d", ("a", "b", "c", "d", "e", "f"))
+    combo, _ = compose_parts(on_pencil(gamma, QP, QPP),
+                             {"h": (_in_x_X(H.num), _in_x_X(H.den))})
+    assert equal_up_to_scale(combo, F)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_recurrence_roots_lie_on_periodic_level_sets(n):
     # every root X of F(x0, X) = 0 puts (x0, X) on a level set whose
-    # reduced correspondence closes up after n steps
+    # orbits close up after n steps
+    m = _map()
     F = _recurrence(n)
-    H = _map().invariants[0]
+    H = m.invariants[0]
     g = on_pencil(GAMMAS[n], QP, QPP)
     scale = 1 + float(g.max_abs_coeff())
     closed = tried = 0
@@ -107,14 +122,11 @@ def test_recurrence_roots_lie_on_periodic_level_sets(n):
         for X in roots_of_poly(F, "X", {"x": complex(x0)}, tol=1e-8):
             h = H.eval([complex(x0), X])
             assert abs(g.eval([h])) < 1e-5 * scale * (1 + abs(h)) ** g.degree("h")
-            q = reduce_to_biquadratic(QP, QPP, h)
-            try:
-                orbit = follow(q, x0, n)
-            except Exception:
+            verdict = _closes(m, (complex(x0), X), n, 1e-5)
+            if verdict is None:
                 continue
             tried += 1
-            if abs(orbit[n] - orbit[0]) < 1e-5:
-                closed += 1
+            closed += verdict
     assert tried >= 3 and closed >= tried // 2
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodmaps.algebra import MPoly, RatFunc, compose_parts, parse_poly
+from periodmaps.algebra import MPoly, compose_parts, parse_poly
 from periodmaps.catalog import catalog_get
 from periodmaps.errors import UnknownVarietyError
 from periodmaps.varieties import (
@@ -146,7 +146,7 @@ def test_toda_quadratic_is_built_once_per_generator():
 def _per_term_composition(p, substitutions):
     """The composition loop compose_parts ran before its power table: each
     term builds its own num^e * den^(deg - e)."""
-    subs = {v: RatFunc.of(r) for v, r in substitutions.items() if v in p.vars}
+    subs = {v: r for v, r in substitutions.items() if v in p.vars}
     degs = {v: p.degree(v) for v in subs}
     den = MPoly.const(1)
     for v, r in subs.items():
