@@ -144,20 +144,36 @@ def test_scalar_orbit_is_periodic_on_the_parameter_variety():
             assert abs(x - (0.37 + 0.11j)) < 1e-8, (n, h)
 
 
-def test_matrix_powers_compose_the_map():
+def _k_step_params(k, point):
     # M^k = [[p, q], [r, s]] read back as (a_k, b_k, h_k) = (q/p, r/s, p/s)
-    # is the k-step map x -> h_k(x + a_k)/(1 + b_k x); four points pin a
-    # Moebius map
+    (p, q), (r, s) = (
+        [e.subs_values(point).constant_term() for e in row]
+        for row in step_matrix_power(k))
+    return q / p, r / s, p / s
+
+
+def test_param_step_composes_the_map():
+    # the parameters of the k-step map come from M^k: three steps of
+    # x -> h(x + a)/(1 + bx) are one step with (a_3, b_3, h_3)
+    a, b, h = Fraction(2), Fraction(1, 3), Fraction(5, 7)
+    x = Fraction(4, 9)
+    y = x
+    for _ in range(3):
+        y = h * (y + a) / (1 + b * y)
+    a3, b3, h3 = _k_step_params(3, {"a": a, "b": b, "h": h})
+    assert y == h3 * (x + a3) / (1 + b3 * x)
+
+
+def test_matrix_powers_agree_with_param_step():
+    # for each k, (a_k, b_k, h_k) read from M^k is the k-step map
+    # x -> h_k(x + a_k)/(1 + b_k x); four points pin a Moebius map
     a, b, h = Fraction(2), Fraction(1, 3), Fraction(5, 7)
     point = {"a": a, "b": b, "h": h}
     xs = (Fraction(4, 9), Fraction(-2), Fraction(3, 5), Fraction(0))
     ys = list(xs)
     for k in range(1, 6):
         ys = [h * (y + a) / (1 + b * y) for y in ys]
-        (p, q), (r, s) = (
-            [e.subs_values(point).constant_term() for e in row]
-            for row in step_matrix_power(k))
-        ak, bk, hk = q / p, r / s, p / s
+        ak, bk, hk = _k_step_params(k, point)
         assert ys == [hk * (x + ak) / (1 + bk * x) for x in xs], k
 
 
