@@ -4,11 +4,10 @@ A coefficient is a plain ``int`` when it is integral and a
 :class:`fractions.Fraction` (denominator other than 1) only when it is not,
 so integer polynomials, which every recorded elimination works with, pay
 for integer arithmetic alone.  The scalar accessors (``leading_coeff``,
-``constant_term``, ``content``, ``eval_exact``) return ``Fraction``.
-Monomials are exponent tuples aligned with an ordered variable list.  The
-global term order is graded lexicographic with respect to the declared
-variable order.  Complex floating arithmetic only appears at evaluation
-boundaries.
+``constant_term``, ``content``) return ``Fraction``.  Monomials are exponent
+tuples aligned with an ordered variable list.  The global term order is
+graded lexicographic with respect to the declared variable order.  Complex
+floating arithmetic only appears at evaluation boundaries.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class MPoly:
     integral, else a ``Fraction`` (never one with denominator 1).
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_plan", "_exact_plan", "_coeffs")
+    __slots__ = ("vars", "terms", "_hash", "_plan", "_coeffs")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar]):
         vs = tuple(variables)
@@ -99,7 +98,6 @@ class MPoly:
         self.terms = _demoted({e: c for e, c in clean.items() if c != 0})
         self._hash = None
         self._plan = None
-        self._exact_plan = None
         self._coeffs = None
 
     # -- constructors -------------------------------------------------
@@ -119,7 +117,6 @@ class MPoly:
         p.terms = terms
         p._hash = None
         p._plan = None
-        p._exact_plan = None
         p._coeffs = None
         return p
 
@@ -377,8 +374,8 @@ class MPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def _compile(self, leaf):
-        """(need, plan): the Horner plan of self, with leaf(c) at each
+    def _compile(self):
+        """(need, plan): the Horner plan of self, with complex(c) at each
         coefficient c, and how many leading variables a point must cover.
 
         A plan node is a leaf value or a tuple (i, first, steps, last) for
@@ -393,7 +390,7 @@ class MPoly:
         def build(items, i):
             nonlocal need
             if i == n:
-                return leaf(items[0][1])    # exponent tuples are distinct
+                return complex(items[0][1])     # exponent tuples are distinct
             groups = {}
             for item in items:
                 groups.setdefault(item[0][i], []).append(item)
@@ -405,7 +402,7 @@ class MPoly:
                           for prev, e in zip(order, order[1:]))
             return i, build(groups[order[0]], i + 1), steps, order[-1]
 
-        plan = build(list(self.terms.items()), 0) if self.terms else leaf(0)
+        plan = build(list(self.terms.items()), 0) if self.terms else 0j
         return need, plan
 
     def eval(self, point: Sequence[complex]) -> complex:
@@ -419,11 +416,11 @@ class MPoly:
         return self.eval_values([complex(c) for c in point[:len(self.vars)]])
 
     def float_plan(self):
-        """(need, plan) of _compile(complex), compiled on first use and
+        """(need, plan) of _compile(), compiled on first use and
         kept: what eval walks and what ratfunc.compile_eval turns into
         straight-line code."""
         if self._plan is None:
-            self._plan = self._compile(complex)
+            self._plan = self._compile()
         return self._plan
 
     def eval_values(self, values: Sequence[complex]) -> complex:
@@ -435,17 +432,6 @@ class MPoly:
         if len(values) < need:
             raise _arity_error(values, need)
         return check_finite(_horner(plan, values))
-
-    def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point; like eval, the exact plan
-        is compiled on first use and kept."""
-        if self._exact_plan is None:
-            self._exact_plan = self._compile(_exact)
-        need, plan = self._exact_plan
-        if len(point) < need:
-            raise _arity_error(point, need)
-        values = [_exact(c) for c in point[:len(self.vars)]]
-        return Fraction(_horner(plan, values))
 
     def abs_coeffs(self) -> "MPoly":
         """self with each coefficient c replaced by |c|.

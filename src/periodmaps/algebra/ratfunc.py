@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import mul
 from typing import Callable, Mapping, Sequence, Union
@@ -68,13 +67,6 @@ class RatFunc:
         nv = self.num.eval_values(values)
         dv = self.den.eval_values(values)
         if abs(dv) <= POLE_REL * (1 + abs(nv)):
-            raise PoleError(POLE)
-        return nv / dv
-
-    def eval_exact(self, point: Sequence) -> Fraction:
-        nv = self.num.eval_exact(point)
-        dv = self.den.eval_exact(point)
-        if dv == 0:
             raise PoleError(POLE)
         return nv / dv
 

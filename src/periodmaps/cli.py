@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -35,9 +36,13 @@ _PARAM_FLAGS = {k: k in spec.six_vectors
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        value = Fraction(text)
+        float(value)        # every command steps its map in floats
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        why = ("too large for a float" if isinstance(exc, OverflowError)
+               else "not a rational")
+        raise argparse.ArgumentTypeError(f"{why}: {text!r}") from exc
+    return value
 
 
 def _fraction_list(text: str):
@@ -348,6 +353,9 @@ def main(argv=None) -> int:
         ap.error("--tol must be a positive finite number")
     if getattr(args, "steps", 0) < 0:
         ap.error("--steps must not be negative")
+    out = getattr(args, "out", None)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        ap.error(f"--out {out}: its directory does not exist")
     try:
         return args.fn(args)
     except (UnknownMapError, UnknownVarietyError, MissingParameterError,

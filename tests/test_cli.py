@@ -234,6 +234,11 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
       "9"], "unrecognized arguments: --seeds 5 --seed 9"),
     (["eliminate", "--map", "lv4", "--period", "2", "--seeds", "3", "--seed",
       "4"], "unrecognized arguments: --seeds 3 --seed 4"),
+    (["list", "--out", "/no/such/dir/x.json"], "/no/such/dir/x.json"),
+    (["orbit", "--map", "lv3", "--init", "1e400,1,2", "--steps", "2"],
+     "too large for a float: '1e400'"),
+    (["verify", "--map", "lyness2", "--period", "2", "--a", "1e400"],
+     "too large for a float: '1e400'"),
 ], ids=["verify-without-period", "off-variety-with-period", "negative-seeds",
         "zero-seeds", "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
         "negative-steps", "foreign-parameter", "eliminate-foreign-parameter",
@@ -242,7 +247,8 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
         "eliminate-example-period",
         "eliminate-moebius2d-period", "fixtures-unrecorded-period",
         "orbit-init-length", "verify-csv", "list-csv", "fixtures-parameters",
-        "fixtures-seeds", "eliminate-seeds"])
+        "fixtures-seeds", "eliminate-seeds", "out-missing-directory",
+        "orbit-init-overflow", "parameter-overflow"])
 def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     try:
         code = main(argv)
