@@ -378,6 +378,22 @@ def _build_qrt(name, params):
 # ---------------------------------------------------------------- registry
 
 @dataclass(frozen=True)
+class DegenerateLocus:
+    """The hyperplanes x_j = 1 of a Lotka-Volterra map, on which it
+    degenerates: lv4's cyclic chain forces a coordinate, and so r, to 0,
+    and lv3's reduction to a biquadratic correspondence collapses.
+
+    invariant names the invariant whose zero set the locus is, where one
+    is; the map's variety generators are stripped of its powers.
+    """
+    invariant: Optional[str] = None
+
+    @staticmethod
+    def contains(point) -> bool:
+        return any(c == 1 for c in point)
+
+
+@dataclass(frozen=True)
 class MapSpec:
     """One catalogued map: how to build it and what its parameters are."""
     build: Callable[[str, dict], IntegrableMap]
@@ -398,6 +414,7 @@ class MapSpec:
     # numerators) that elimination starts from, for a map whose relations
     # are not its components' X*den - num and its composed variety
     relations: Optional[Callable[[int], Tuple[dict, Tuple[MPoly, ...]]]] = None
+    degenerate: Optional[DegenerateLocus] = None
 
 
 MAPS = {
@@ -407,10 +424,12 @@ MAPS = {
     "lyness8": MapSpec(_build_lyness8, period=8),
     "lv3": MapSpec(_build_lv3, eliminations={"lv3": {
         2: (("X", ("y", "z")), ("Y", ("z", "x"))),
-        **{n: (("X", ("z",)), ("Y", ("z",))) for n in (3, 4, 5)}}}),
+        **{n: (("X", ("z",)), ("Y", ("z",))) for n in (3, 4, 5)}}},
+        # s = (1 - x)(1 - y)(1 - z)
+        degenerate=DegenerateLocus("s")),
     "lv4": MapSpec(_build_lv4, eliminations={"lv4": {
         2: (("X", ("u", "y")), ("Y", ("u",)), ("Z", ("u", "y")))}},
-        relations=_lv4_relations),
+        relations=_lv4_relations, degenerate=DegenerateLocus()),
     "toda3": MapSpec(_build_toda3, eliminations={"toda3": {
         3: tuple((cap, ("z", "w")) for cap in "XYUV")}}),
     "euler": MapSpec(

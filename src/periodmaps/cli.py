@@ -356,6 +356,8 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         ap.error(f"--out {out}: its directory does not exist")
+    if out and os.path.isdir(out):
+        ap.error(f"--out {out}: is a directory, not a file")
     try:
         return args.fn(args)
     except (UnknownMapError, UnknownVarietyError, MissingParameterError,

@@ -3,7 +3,9 @@
 Each catalog entry is a list of polynomials gamma in the invariant symbols
 of one map (or directly in its coordinates, for the rigid-body map).  The
 zero set of gamma(H(x)) collects the points whose orbit is periodic with
-the stated period.
+the stated period.  Where a map's spec names an invariant whose zero set
+is its degenerate locus, the build divides that invariant's powers out of
+each generator.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import (MPoly, RatFunc, coefficient_values, compose_parts,
-                      parse_poly, root_sort_key, roots_of_poly,
+                      exact_divide, parse_poly, root_sort_key, roots_of_poly,
                       roots_of_values)
 from .biquad import GAMMAS, on_pencil
-from .catalog import IntegrableMap, catalog_get
+from .catalog import MAPS, IntegrableMap, catalog_get
 from .data import VARIETIES
 from .errors import (PoleError, RootFindingError, SamplingError,
                      UnknownVarietyError)
@@ -124,6 +126,9 @@ def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
     else:
         gammas = tuple(parse_poly(t, symbols).with_vars(symbols)
                        for t in texts)
+    locus = MAPS[m.name].degenerate
+    if locus is not None and locus.invariant is not None:
+        gammas = tuple(_without_powers_of(g, locus.invariant) for g in gammas)
 
     if entry.get("coordinates"):
         subs = {v: RatFunc.var(v).with_vars(m.varnames) for v in m.varnames}
@@ -131,6 +136,12 @@ def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
                                 in_coordinates=True)
     subs = dict(zip(m.invariant_names, m.invariants))
     return VarietyGenerator(m.name, period, gammas, subs, m)
+
+
+def _without_powers_of(gamma: MPoly, symbol: str) -> MPoly:
+    """gamma divided by the largest power of the symbol dividing it."""
+    k = min(exps[gamma.vars.index(symbol)] for exps in gamma.terms)
+    return exact_divide(gamma, MPoly.var(symbol) ** k).with_vars(gamma.vars)
 
 
 def membership(g: VarietyGenerator, p: Sequence[complex],
@@ -248,6 +259,7 @@ def sample_on_variety(g: VarietyGenerator, seed: int):
 
     All but l coordinates are drawn from a rational grid in the complex
     square [-3, 3] x [-3, 3]; the remaining ones solve gamma(H(x)) = 0.
+    A draw on the map's degenerate locus is drawn again.
     """
     if g.l > 2:
         raise SamplingError("sampling supports at most two generators")
@@ -268,9 +280,13 @@ def sample_on_variety(g: VarietyGenerator, seed: int):
             raise SamplingError(
                 f"generator does not involve the solve coordinate {last!r}")
         solve = lambda drawn: _solve_last(g, num, drawn, last)
+    locus = MAPS[g.map_name].degenerate
     for _ in range(32):
         # one coordinate per generator is solved for, the others drawn
-        got = solve(tuple(_draw_coord(rng) for _ in range(len(names) - g.l)))
+        drawn = tuple(_draw_coord(rng) for _ in range(len(names) - g.l))
+        if locus is not None and locus.contains(drawn):
+            continue
+        got = solve(drawn)
         if got is not None:
             return got
     raise SamplingError(

@@ -48,3 +48,18 @@ def test_3dlv_identification_symbolic_identity():
     rhs = -s * (r ** 2 + s ** 2 - r * s + r + s + 1)
     assert lhs == rhs
 
+
+# the pullback of gamma^(n) through the 3d Lotka-Volterra reduction is
+# sign * s^k * gamma_n, gamma_n lv3's period-n generator as built: the
+# reduction degenerates on s = 0, and the build strips that factor, and
+# no other, from the recorded generators
+PULLBACKS = {3: (-1, 1), 4: (1, 1), 5: (1, 2)}
+
+
+@pytest.mark.parametrize("n", sorted(PULLBACKS))
+def test_pullback_is_a_power_of_s_times_the_lv3_generator(n):
+    subs = dict(zip(("a", "b", "c", "d", "e", "f"), from_3dlv_symbolic()))
+    lhs = compose_parts(GAMMAS[n], subs)[0]
+    sign, k = PULLBACKS[n]
+    gamma = gamma_get("lv3", n).gammas[0]
+    assert lhs == sign * MPoly.var("s") ** k * gamma

@@ -177,11 +177,16 @@ PROBE_PARAMS = {
 
 
 def _probe_commands():
-    """The README block, every recorded elimination and fixtures pair, and
-    verify, sample and --off-variety on every map."""
+    """The README block, every recorded elimination and fixtures pair,
+    verify, sample and --off-variety on every map, and a sample that
+    redraws after a root-finding failure."""
     commands = _readme_commands()
     commands += [["list", "--map", "lv3", "--format", "text"],
-                 ["orbit", "--map", "lv4", "--init", "1,2,3,4", "--steps", "4"]]
+                 ["orbit", "--map", "lv4", "--init", "1,2,3,4", "--steps", "4"],
+                 # the first draw of this seed has roots that miss their
+                 # residual bound, and the sampler draws again
+                 ["sample", "--map", "lv3", "--period", "5", "--seeds", "1",
+                  "--seed", "12"]]
     for name, spec in MAPS.items():
         for target, periods in spec.eliminations.items():
             params = PROBE_PARAMS.get(name, []) if target == name else []

@@ -1,15 +1,18 @@
 """Variety catalog: lookup, membership, sampling, recorded spot values."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from exact_values import exact_value
-from periodmaps.algebra import MPoly, compose_parts, parse_poly
+from periodmaps.algebra import MPoly, compose_parts, divides, parse_poly
 from periodmaps.catalog import catalog_get
+from periodmaps.data import VARIETIES
 from periodmaps.errors import UnknownVarietyError
+from periodmaps.orbit import verify_period
 from periodmaps.varieties import (
-    available_periods, checksum_cases, gamma_get, membership,
+    _draw_coord, available_periods, checksum_cases, gamma_get, membership,
     sample_on_variety)
 
 
@@ -82,14 +85,47 @@ def test_sampled_points_lie_on_every_catalogued_variety():
 
 
 def test_gamma5_checksums_match_recorded_values():
+    # the checksums were taken of the recorded text, before the build
+    # strips the degenerate factor s^2 from it
     cases = checksum_cases("lv3", 5)
     assert len(cases) >= 5
-    g = gamma_get("lv3", 5)
-    gamma = g.gammas[0]
+    entry = VARIETIES["lv3"]
+    gamma = parse_poly(entry["periods"]["5"][0], entry["symbols"])
     order = tuple(gamma.vars)
     for point, value in cases:
         got = exact_value(gamma, [point[v] for v in order])
         assert got == value
+
+
+# points of the degenerate locus s = 0, on x = 1 and on y = 1, whose
+# orbits do not return after 2, 3, 4 or 5 steps
+LOCUS_PROBES = [(1, 0.3 + 0.2j, -0.7 + 1j), (0.4 - 1j, 1, 2.5 + 0.5j)]
+
+
+@pytest.mark.parametrize("period", [2, 3, 4, 5])
+@pytest.mark.parametrize("point", LOCUS_PROBES, ids=["x=1", "y=1"])
+def test_lv3_membership_rejects_points_of_the_degenerate_locus(period, point):
+    assert not verify_period(catalog_get("lv3"), point, period).passed(1e-9)
+    ok, res = membership(gamma_get("lv3", period), point)
+    assert not ok and res[0] > 1e-2
+
+
+def test_the_sampler_redraws_a_point_on_the_degenerate_locus():
+    # lv4's first draw at seed 560106 is on z = 1, where its step has no
+    # branch that conserves the invariants
+    rng = random.Random("variety:lv4:2:560106")
+    assert tuple(_draw_coord(rng) for _ in range(3))[2] == 1
+    p = sample_on_variety(gamma_get("lv4", 2), 560106)
+    assert 1 not in p
+    assert verify_period(catalog_get("lv4"), p, 2).passed(1e-9)
+
+
+def test_lv3_generators_carry_no_power_of_s():
+    # gamma_5 is recorded with the factor s^2, which the build strips
+    for period in available_periods("lv3"):
+        gamma = gamma_get("lv3", period).gammas[0]
+        assert not divides(MPoly.var("s"), gamma), period
+    assert len(gamma_get("lv3", 5).gammas[0].terms) == 24
 
 
 def test_qrt_generator_lives_on_the_pencil():
@@ -109,14 +145,15 @@ def test_membership_uses_invariant_values():
     assert ok and res[0] <= 1e-12
 
 
-# float.hex of each coordinate's (real, imag), as the term-by-term
-# evaluator over Fraction coefficients produced them: compiling the
-# evaluation must not move a single bit of a sampled point
+# float.hex of each coordinate's (real, imag): no change to evaluation may
+# move a single bit of a sampled point.  toda3's are as the term-by-term
+# evaluator over Fraction coefficients produced them; lv3 p5's were taken
+# again when its generator lost the degenerate factor s^2
 SAMPLED_HEX = {
     ("lv3", 5, 0): [
         ("-0x1.7000000000000p+1", "0x1.0000000000000p+0"),
         ("0x1.8000000000000p+0", "0x1.8000000000000p+0"),
-        ("-0x1.2dc207ba89240p-5", "0x1.7c9b2dd71e343p-2")],
+        ("-0x1.2dc207ba8922ap-5", "0x1.7c9b2dd71e344p-2")],
     ("toda3", 3, 0): [
         ("-0x1.2000000000000p+1", "0x1.c000000000000p+0"),
         ("0x1.5000000000000p+1", "-0x1.4000000000000p+1"),
