@@ -1,10 +1,9 @@
 """The concrete integrable maps: components, invariants, parameters.
 
-Explicit maps carry RatFunc components over their coordinate variables;
-the discrete Euler top in Hirota-Kimura form is one too, its components
-the Cramer-rule solution of its linear 3x3 step.  One family is implicit:
-the 4d Lotka-Volterra map, solved through a cyclic Moebius chain plus a
-quadratic consistency condition.
+Every map carries RatFunc components over its coordinate variables.  The
+discrete Euler top in Hirota-Kimura form solves a linear 3x3 step, and its
+components are the Cramer-rule solution; the 4d Lotka-Volterra map's step
+solves a cyclic chain, and its components are the chain's rational branch.
 
 Everything the package knows about one map sits in its MapSpec record in
 MAPS: the builder, the parameters, and the defaults other stages use.
@@ -13,23 +12,18 @@ MAPS: the builder, the parameters, and the defaults other stages use.
 from __future__ import annotations
 
 import cmath
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .algebra import (MPoly, RatFunc, companion_roots, compile_eval,
-                      compose_parts, poly_gcd)
+from .algebra import MPoly, RatFunc, compile_eval, compose_parts, poly_gcd
 from .biquad import quadratic_coeffs, s_value
-from .errors import (BranchSelectionError, DegenerateParameterError,
-                     MissingParameterError, NonFiniteError,
-                     NotRecordedError, PoleError, SingularSystemError,
-                     UnknownMapError)
+from .errors import (DegenerateParameterError, MissingParameterError,
+                     NonFiniteError, NotRecordedError, UnknownMapError)
 from .moebius import derive_gamma
 
 Point = Tuple[complex, ...]
-INVARIANT_POINTS = 20   # regular points of an implicit map's build check
 
 
 def as_point(coords: Sequence[complex]) -> Point:
@@ -49,24 +43,21 @@ class IntegrableMap:
     """A built map; catalog_get builds one per (name, parameters), so maps
     compare and hash by identity.
 
-    Construction compiles the float step of explicit components (None for
-    an implicit map) and the invariant values into one straight-line
-    function of a point each (algebra.compile_eval).
+    Construction compiles the float step of the components and the
+    invariant values into one straight-line function of a point each
+    (algebra.compile_eval).
     """
     name: str
     varnames: Tuple[str, ...]
     params: dict
-    components: Optional[Tuple[RatFunc, ...]]
+    components: Tuple[RatFunc, ...]
     invariants: Tuple[RatFunc, ...] = ()
     invariant_names: Tuple[str, ...] = ()
-    numeric_apply: Optional[Callable] = None
-    step: Optional[Callable] = field(init=False, repr=False)
+    step: Callable = field(init=False, repr=False)
     invariant_values: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        step = (None if self.components is None
-                else compile_eval(self.components))
-        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "step", compile_eval(self.components))
         object.__setattr__(self, "invariant_values",
                            compile_eval(self.invariants))
 
@@ -124,111 +115,25 @@ def _build_lv3(name, params):
     return IntegrableMap(name, vs, params, comps, (r, s), ("r", "s"))
 
 
-def lv_chain(xs, one, zero):
-    """The cyclic chain X_j(1-X_{j-1}) = x_j(1-x_{j+1}) as Moebius maps.
-
-    Generic over the coefficient ring (complex numbers or MPoly): returns
-    the right-hand sides rhs_j = x_j(1-x_{j+1}) and the coefficients
-    (a, b, c, e) with X_{d-1} = (a t + b)/(c t + e) for t = X_0.
-    """
-    d = len(xs)
-    rhs = [xs[j] * (1 - xs[(j + 1) % d]) for j in range(d)]
-    a, b, c, e = one, zero, zero, one
-    for j in range(1, d):
-        # X_j = rhs[j] / (1 - X_{j-1})
-        a, b, c, e = rhs[j] * c, rhs[j] * e, c - a, e - b
-    return rhs, (a, b, c, e)
-
-
-def lv_cyclic_apply(x: Point):
-    """Both solution branches of X_j(1-X_{j-1}) = x_j(1-x_{j+1}), cyclic.
-
-    Propagates X_1 = t through the Moebius chain and solves the quadratic
-    consistency condition; returns a list of candidate image points.
-    """
-    d = len(x)
-    rhs, (a, b, c, e) = lv_chain(x, 1 + 0j, 0j)
-    # consistency: t (1 - X_{d-1 -> back to j=0}) = rhs[0]
-    # i.e. t((c - a) t + (e - b)) = rhs[0] (c t + e)
-    coeffs = [c - a, e - b - rhs[0] * c, -rhs[0] * e]
-    if abs(coeffs[0]) <= 1e-14 * (1 + max(abs(v) for v in coeffs)):
-        if abs(coeffs[1]) == 0:
-            raise SingularSystemError("degenerate consistency condition")
-        ts = [-coeffs[2] / coeffs[1]]
-    else:
-        ts = companion_roots(coeffs)
-    images = []
-    for t in ts:
-        img = [t]
-        ok = True
-        for j in range(1, d):
-            den = 1 - img[-1]
-            if abs(den) <= 1e-13 * (1 + abs(rhs[j])):
-                ok = False
-                break
-            img.append(rhs[j] / den)
-        if ok:
-            images.append(tuple(img))
-    if not images:
-        raise PoleError("all consistency branches hit a pole")
-    return images
-
-
-def _lv4_apply(m: IntegrableMap, p: Point) -> Point:
-    """The consistency branch that best conserves m's invariants."""
-    candidates = lv_cyclic_apply(p)
-    base = m.invariant_values(p)
-    best = None
-    best_drift = None
-    for img in candidates:
-        try:
-            vals = m.invariant_values(img)
-        except PoleError:
-            continue
-        drift = rel_dist(vals, base)
-        if best_drift is None or drift < best_drift:
-            best, best_drift = img, drift
-    if best is None or best_drift > 1e-6:
-        message = ("no consistency root conserves the invariants "
-                   f"(drift {best_drift})")
-        ones = [v for v, c in zip(m.varnames, p) if c == 1]
-        if ones:
-            # on x_(j+1) = 1 the chain's X_j(1 - X_(j-1)) = x_j(1 - x_(j+1))
-            # is 0, so the image has X_j = 0 and r = 0
-            on = " and ".join(f"{v} = 1" for v in ones)
-            message += (f"; the point lies on {on}, where the cyclic chain "
-                        "forces a coordinate, and so r, to 0")
-        raise BranchSelectionError(message)
-    return best
-
-
-def _lv4_relations(period):
-    """The consistency quadratic of each image coordinate solved for, from
-    the cyclic chain started at its point coordinate, and the lv4 variety."""
-    from .varieties import gamma_get
-    names = ("x", "y", "z", "u")
-    rels = {}
-    for cap, _ in elimination_setups("lv4", period):
-        k = names.index(cap.lower())
-        rhs, (a, b, c, e) = lv_chain(_vars(names[k:] + names[:k]),
-                                     MPoly.const(1), MPoly.zero())
-        t = MPoly.var(cap)
-        rels[cap] = t * ((c - a) * t + (e - b)) - rhs[0] * (c * t + e)
-    return rels, gamma_get("lv4", period).composed_numerators()
-
-
 def _build_lv4(name, params):
     names = ("x", "y", "z", "u")
     xs = _vars(names)
     x, y, z, u = xs
+    # the step solves X_j (1 - X_{j-1}) = x_j (1 - x_{j+1}), indices mod 4.
+    # Besides X_j = 1 - x_{j+1}, which does not conserve r, its solution
+    # is X_j = x_j P_{j+1} / P_{j+2}, where
+    # P_j = (1 - x_j)(1 - x_{j+1}) + x_{j+1} x_{j+2}
+
+    def P(j):
+        a, b, c = (xs[(j + k) % 4] for k in range(3))
+        return (1 - a) * (1 - b) + b * c
+    comps = tuple(_rf(xs[j] * P(j + 1), P(j + 2), vars=names)
+                  for j in range(4))
     f0, f1, f2, f3 = (xs[j] * (1 - xs[j - 1]) for j in range(4))
     invs = (_rf(f0 + f1 + f2 + f3, vars=names),
             _rf(f0 * f2 + f1 * f3, vars=names),
             _rf(x * y * z * u, vars=names))
-    # the step is called only once m exists, so it may name m
-    m = IntegrableMap(name, names, params, None, invs, ("h1", "h2", "r"),
-                      numeric_apply=lambda p: _lv4_apply(m, p))
-    return m
+    return IntegrableMap(name, names, params, comps, invs, ("h1", "h2", "r"))
 
 
 def _build_toda3(name, params):
@@ -379,14 +284,13 @@ def _build_qrt(name, params):
 
 @dataclass(frozen=True)
 class DegenerateLocus:
-    """The hyperplanes x_j = 1 of a Lotka-Volterra map, on which it
-    degenerates: lv4's cyclic chain forces a coordinate, and so r, to 0,
-    and lv3's reduction to a biquadratic correspondence collapses.
+    """The hyperplanes x_j = 1 of lv3, on which its reduction to a
+    biquadratic correspondence collapses.
 
-    invariant names the invariant whose zero set the locus is, where one
-    is; the map's variety generators are stripped of its powers.
+    invariant names the invariant whose zero set the locus is; the map's
+    variety generators are stripped of its powers.
     """
-    invariant: Optional[str] = None
+    invariant: str
 
     @staticmethod
     def contains(point) -> bool:
@@ -411,8 +315,9 @@ class MapSpec:
     eliminations: Mapping[str, Mapping[int, Tuple[
         Tuple[str, Tuple[str, ...]], ...]]] = field(default_factory=dict)
     # period -> (image coordinate -> its relation with the point, variety
-    # numerators) that elimination starts from, for a map whose relations
-    # are not its components' X*den - num and its composed variety
+    # numerators) that elimination starts from, for a family whose
+    # relations keep its parameters as symbols; any other map's are its
+    # components' X*den - num and its composed variety
     relations: Optional[Callable[[int], Tuple[dict, Tuple[MPoly, ...]]]] = None
     degenerate: Optional[DegenerateLocus] = None
 
@@ -428,8 +333,7 @@ MAPS = {
         # s = (1 - x)(1 - y)(1 - z)
         degenerate=DegenerateLocus("s")),
     "lv4": MapSpec(_build_lv4, eliminations={"lv4": {
-        2: (("X", ("u", "y")), ("Y", ("u",)), ("Z", ("u", "y")))}},
-        relations=_lv4_relations, degenerate=DegenerateLocus()),
+        2: (("X", ("u", "y")), ("Y", ("u",)), ("Z", ("u", "y")))}}),
     "toda3": MapSpec(_build_toda3, eliminations={"toda3": {
         3: tuple((cap, ("z", "w")) for cap in "XYUV")}}),
     "euler": MapSpec(
@@ -525,45 +429,16 @@ def elimination_setups(target: str, period: int):
 
 
 def _verify_invariants(m: IntegrableMap):
-    """Build-time conservation check of every attached invariant: over
-    explicit components phi a proof that each H = num/den has H(phi) = H
-    as an identity of polynomials; an implicit map's numeric step is
-    checked at INVARIANT_POINTS regular points."""
-    if m.components is not None:
-        subs = dict(zip(m.varnames, m.components))
-        for h in m.invariants:
-            (n1, d1), (n2, d2) = (compose_parts(p, subs)
-                                  for p in (h.num, h.den))
-            # H(phi) = (n1/d1) / (n2/d2)
-            if n2.is_zero() or n1 * d2 * h.den != h.num * d1 * n2:
-                raise AssertionError(
-                    f"invariant not conserved exactly for {m.name}")
-        return
-    sig = (m.name, tuple(sorted((k, str(v)) for k, v in m.params.items())))
-    rng = random.Random(f"catalog:{sig}")
-    checked = 0
-    attempts = 0
-    while checked < INVARIANT_POINTS and attempts < 40 * INVARIANT_POINTS:
-        attempts += 1
-        pt = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-                   for _ in range(m.d))
-        if any(c == 0 for c in pt):
-            continue
-        try:
-            fpt = as_point(pt)
-            img = m.numeric_apply(fpt)
-            before = m.invariant_values(fpt)
-            after = m.invariant_values(img)
-            if any(abs(x - y) > 1e-8 * (1 + abs(x))
-                   for x, y in zip(before, after)):
-                raise AssertionError(
-                    f"invariant drift too large for {m.name} at {pt}")
-        except (PoleError, SingularSystemError, BranchSelectionError):
-            continue
-        checked += 1
-    if checked < INVARIANT_POINTS:
-        raise AssertionError(f"could not find {INVARIANT_POINTS} regular "
-                             f"points to verify {m.name}")
+    """Build-time proof that every attached invariant is conserved: each
+    H = num/den has H(phi) = H over the components phi, as an identity of
+    polynomials."""
+    subs = dict(zip(m.varnames, m.components))
+    for h in m.invariants:
+        (n1, d1), (n2, d2) = (compose_parts(p, subs) for p in (h.num, h.den))
+        # H(phi) = (n1/d1) / (n2/d2)
+        if n2.is_zero() or n1 * d2 * h.den != h.num * d1 * n2:
+            raise AssertionError(
+                f"invariant not conserved exactly for {m.name}")
 
 
 # ---------------------------------------------------------------- operations
@@ -573,10 +448,8 @@ def apply_map(m: IntegrableMap, p: Sequence[complex]) -> Point:
     pt = as_point(p)
     if len(pt) != m.d:
         raise NonFiniteError(f"point dimension {len(pt)} != map dimension {m.d}")
-    if m.step is not None:
-        # the pole test bounds each |num/den| below 1e12: finite
-        return m.step(pt)
-    return as_point(m.numeric_apply(pt))
+    # the pole test bounds each |num/den| below 1e12: finite
+    return m.step(pt)
 
 
 def invariants_eval(m: IntegrableMap, p: Sequence[complex]):
@@ -597,9 +470,9 @@ def descriptor(m: IntegrableMap) -> dict:
         "d": m.d,
         "vars": list(m.varnames),
         "params": params_json(m.params),
-        "components": None if m.components is None
-        else [str(c) for c in m.components],
+        "components": [str(c) for c in m.components],
         "invariants": {n: str(h)
                        for n, h in zip(m.invariant_names, m.invariants)},
-        "implicit": m.components is None,
+        # every map has components now; the key keeps the reports' shape
+        "implicit": False,
     }

@@ -10,7 +10,6 @@ on-variety transitions and removed by exact division.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,10 +20,9 @@ from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
 from .catalog import (MAPS, apply_map, catalog_get, elimination_setups,
                       transition_params)
 from .data import FIXTURES
-from .errors import (BranchSelectionError, EliminationError,
-                     InexactDivisionError, NotRecordedError,
-                     NothingToEliminateError, PoleError, SamplingError,
-                     SingularSystemError)
+from .errors import (EliminationError, InexactDivisionError,
+                     NotRecordedError, NothingToEliminateError, PoleError,
+                     SamplingError)
 from .varieties import gamma_get, sample_on_variety
 
 TRANSITION_TOL = 1e-8
@@ -102,58 +100,6 @@ def _eliminate_once(polys: List[MPoly], v: str) -> List[MPoly]:
     return out
 
 
-def _rational_sqrt(c: Fraction) -> Optional[Fraction]:
-    if c < 0:
-        return None
-    ns = math.isqrt(c.numerator)
-    ds = math.isqrt(c.denominator)
-    if ns * ns == c.numerator and ds * ds == c.denominator:
-        return Fraction(ns, ds)
-    return None
-
-
-def _poly_sqrt(p: MPoly) -> Optional[MPoly]:
-    """q with q^2 == p, or None if p is not a perfect square.
-
-    The root is read off term by term in graded lex order: q starts as the
-    square root of p's leading term, then takes LT(p - q^2) / (2 LT(q))
-    until p - q^2 is zero.  Each step cancels the remainder's leading term,
-    so the remainder falls until it is zero or a division is inexact.
-    """
-    if p.is_zero():
-        return p
-    exps, c = p.leading()
-    r = _rational_sqrt(c)
-    if r is None or any(e % 2 for e in exps):
-        return None
-    q = MPoly(p.vars, {tuple(e // 2 for e in exps): r})
-    twice_lt = 2 * q
-    rem = p - q * q
-    while not rem.is_zero():
-        try:
-            t = exact_divide(MPoly(rem.vars, dict([rem.leading()])), twice_lt)
-        except InexactDivisionError:
-            return None
-        rem = rem - t * (2 * q + t)
-        q = q + t
-    return q
-
-
-def _split_quadratic(p: MPoly, main: str):
-    """(f1, f2) with f1*f2 proportional to p, for a square discriminant."""
-    C, B, A = (c for c in p.as_univariate(main))   # ascending order
-    disc = B * B - 4 * A * C
-    s = _poly_sqrt(disc)
-    if s is None:
-        return None
-    Y = MPoly.var(main)
-    f1 = (2 * A * Y + B - s).primitive()
-    f2 = (2 * A * Y + B + s).primitive()
-    if not equal_up_to_scale(f1 * f2, p):
-        return None
-    return f1, f2
-
-
 def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
                     transitions: Optional[Sequence[Transition]],
                     tol: float) -> MPoly:
@@ -178,15 +124,6 @@ def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
                 if not _vanishes(q, transitions, tol):
                     break
                 p = q
-        if p.degree(main) == 2:
-            # a rational branch split separates the route the sampled
-            # transitions actually took from its algebraic partner
-            split = _split_quadratic(p, main)
-            if split:
-                keepers = [f for f in split
-                           if _vanishes(f, transitions, tol)]
-                if len(keepers) == 1:
-                    p = strip_var_monomials(keepers[0])
     return normalize(p)
 
 
@@ -258,8 +195,7 @@ def make_transitions(map_name: str, period: int, count: int = 12,
         try:
             p = sample_on_variety(g, seed)
             q = apply_map(m, p)
-        except (SamplingError, PoleError, BranchSelectionError,
-                SingularSystemError):
+        except (SamplingError, PoleError):
             seed += 1
             continue
         seed += 1

@@ -57,15 +57,6 @@ class PoleError(PeriodmapsError):
         self.step = step
 
 
-class SingularSystemError(PeriodmapsError):
-    """The consistency condition of lv4's implicit step, the only implicit
-    map, degenerates and determines no image."""
-
-
-class BranchSelectionError(PeriodmapsError):
-    """No consistent branch of a multivalued map step could be selected."""
-
-
 class UnknownVarietyError(PeriodmapsError):
     """No variety generator catalogued for the requested (map, period) pair."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .catalog import IntegrableMap, apply_map, invariants_eval, rel_dist
-from .errors import PoleError, SingularSystemError
+from .errors import PoleError
 
 Point = Tuple[complex, ...]
 
@@ -91,7 +91,7 @@ def exclusivity_scan(m: IntegrableMap, p0: Sequence[complex], n_max: int,
                 cur = apply_map(m, cur)
                 flags.append(rel_dist(cur, start) <= tol)
             return flags
-        except (PoleError, SingularSystemError):
+        except PoleError:
             eps = 1e-5 * (attempt + 1)
             start = tuple(c * (1 + eps) + eps for c in start)
     raise PoleError(

@@ -127,7 +127,7 @@ def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
         gammas = tuple(parse_poly(t, symbols).with_vars(symbols)
                        for t in texts)
     locus = MAPS[m.name].degenerate
-    if locus is not None and locus.invariant is not None:
+    if locus is not None:
         gammas = tuple(_without_powers_of(g, locus.invariant) for g in gammas)
 
     if entry.get("coordinates"):

@@ -12,10 +12,9 @@ from exact_values import exact_value
 from periodmaps.algebra import MPoly, RatFunc
 from periodmaps.catalog import (
     MAP_NAMES, IntegrableMap, _verify_invariants, apply_map, catalog_get,
-    descriptor, invariants_eval, lv_cyclic_apply)
+    descriptor, invariants_eval)
 from periodmaps.errors import (
-    BranchSelectionError, DegenerateParameterError, MissingParameterError,
-    PoleError, SingularSystemError, UnknownMapError)
+    DegenerateParameterError, MissingParameterError, UnknownMapError)
 
 QP = (1, 2, 0, 3, 1, 2)
 QPP = (0, 1, 1, 0, 2, 1)
@@ -51,7 +50,8 @@ def test_every_catalog_map_constructs_and_describes():
         json.dumps(d)
         assert d["name"] == name
         assert d["d"] == len(d["vars"])
-        assert d["implicit"] == (m.components is None)
+        assert d["components"] == [str(c) for c in m.components]
+        assert d["implicit"] is False
 
 
 def test_unknown_map_and_missing_parameter():
@@ -159,38 +159,18 @@ def test_lv4_invariants_are_the_nonadjacent_subset_sums():
 
 
 def test_lv4_exact_step_satisfies_defining_relation():
+    # X_j (1 - X_{j-1}) = x_j (1 - x_{j+1}) cyclically, as an identity of
+    # polynomials once X_j = n_j / d_j is cleared: n_j (d_{j-1} - n_{j-1})
+    # = x_j (1 - x_{j+1}) d_j d_{j-1}
     m = _get("lv4")
-    rng = random.Random("catalog-lv4")
-    checked = 0
-    for _ in range(200):
-        if checked == 25:
-            break
-        pt = tuple(Fraction(rng.randint(-15, 15), rng.randint(1, 5))
-                   for _ in range(4))
-        if any(c == 0 for c in pt):
-            continue
-        try:
-            img = apply_map(m, [complex(c) for c in pt])
-        except (PoleError, BranchSelectionError, SingularSystemError):
-            continue
-        # X_j (1 - X_{j-1}) = x_j (1 - x_{j+1}) cyclically
-        for j in range(4):
-            lhs = img[j] * (1 - img[(j - 1) % 4])
-            rhs = complex(pt[j]) * (1 - complex(pt[(j + 1) % 4]))
-            assert abs(lhs - rhs) <= 1e-7 * (1 + abs(rhs))
-        checked += 1
-    assert checked == 25
-
-
-def test_lv_cyclic_apply_returns_both_branches_generically():
-    images = lv_cyclic_apply((0.3 + 0.1j, -0.7, 1.4, 0.2 - 0.5j))
-    assert 1 <= len(images) <= 2
-    for img in images:
-        for j in range(4):
-            lhs = img[j] * (1 - img[(j - 1) % 4])
-            rhs = (0.3 + 0.1j, -0.7, 1.4, 0.2 - 0.5j)[j] * \
-                (1 - (0.3 + 0.1j, -0.7, 1.4, 0.2 - 0.5j)[(j + 1) % 4])
-            assert abs(lhs - rhs) < 1e-8
+    xs = [MPoly.var(v).with_vars(m.varnames) for v in m.varnames]
+    parts = [(c.num, c.den) for c in m.components]
+    for j in range(4):
+        (n, d), (n_prev, d_prev) = parts[j], parts[j - 1]
+        assert n * (d_prev - n_prev) == \
+            xs[j] * (1 - xs[(j + 1) % 4]) * d * d_prev
+        # the chain's other solution, X_j = 1 - x_{j+1}, is not the step
+        assert n != (1 - xs[(j + 1) % 4]) * d
 
 
 def test_euler_inertia_invariants_conserved():
@@ -279,23 +259,16 @@ def test_invariants_eval_matches_components():
     assert abs(vals[0] - (1.5 * -0.25 * 2.0)) < 1e-12
 
 
-def _shift(p):
-    return tuple(c + 1 for c in p)
-
-
 X = MPoly.var("x")
 
 
-@pytest.mark.parametrize("step, h", [
-    ({"components": (RatFunc(X + 1),)}, RatFunc(X)),
-    ({"components": None, "numeric_apply": _shift}, RatFunc(X)),
-    ({"components": (RatFunc(X + 1),)}, RatFunc(X, X + 1)),
-], ids=["explicit", "numeric-only", "explicit-rational"])
-def test_invariant_check_rejects_a_non_conserved_invariant(step, h):
-    # x -> x + 1 conserves neither h = x, whatever kind of step carries
-    # it, nor h = x/(x + 1)
+@pytest.mark.parametrize("h", [RatFunc(X), RatFunc(X, X + 1)],
+                         ids=["explicit", "explicit-rational"])
+def test_invariant_check_rejects_a_non_conserved_invariant(h):
+    # x -> x + 1 conserves neither h = x nor h = x/(x + 1)
     m = IntegrableMap(name="shift", varnames=("x",), params={},
-                      invariants=(h,), invariant_names=("h",), **step)
+                      components=(RatFunc(X + 1),), invariants=(h,),
+                      invariant_names=("h",))
     with pytest.raises(AssertionError, match="shift"):
         _verify_invariants(m)
 

@@ -94,17 +94,23 @@ def test_fixtures_command_reports_verdicts(capsys):
 
 
 def test_lv4_names_the_hyperplane_it_degenerates_on(capsys):
-    # on x_j = 1 the cyclic chain forces an image coordinate, and r, to 0
-    code, _, err = _run(capsys, "orbit", "--map", "lv4", "--init", "1,2,3,4",
-                        "--steps", "4")
-    assert code == EXIT_FAIL
-    assert "(drift 0.96); the point lies on x = 1," in err
-    # the sampler draws again where it drew a point there: seed 560106's
-    # first draw has z = 1
-    code, out, _ = _run(capsys, "verify", "--map", "lv4", "--period", "2",
-                        "--seed", "560106")
+    # lv4's step is regular on the hyperplanes x_j = 1: from x = 1 the
+    # orbit goes on, and r = xyzu stays 24; the verdicts at seed 560106's
+    # first draw on the variety, which has z = 1, and at seed 1381's draw
+    # off it, which has a coordinate 1, pass
+    code, out, _ = _run(capsys, "orbit", "--map", "lv4", "--init", "1,2,3,4",
+                        "--steps", "3")
     assert code == EXIT_OK
-    assert all(v["pass"] for v in json.loads(out)["verdicts"])
+    for point in json.loads(out)["points"]:
+        r = 1
+        for re, im in point:
+            r *= complex(re, im)
+        assert abs(r - 24) <= 1e-12 * 24
+    for where in (["--period", "2", "--seed", "560106"],
+                  ["--off-variety", "--seeds", "1", "--seed", "1381"]):
+        code, out, _ = _run(capsys, "verify", "--map", "lv4", *where)
+        assert code == EXIT_OK
+        assert all(v["pass"] for v in json.loads(out)["verdicts"])
 
 
 def test_unknown_variety_is_a_usage_error(capsys):
@@ -310,7 +316,7 @@ REPORT_SHA256 = [
       "1/3", "--seeds", "5"],
      "491c2e235d01442ec78e388f7c552b2cd1a723f20fdedbe650829fda132284e0"),
     (["verify", "--map", "lv4", "--off-variety", "--seeds", "5"],
-     "86420efd3a748c8ffdaa79bc1753f1eb70a2df1380f436b73a73920bf50a231f"),
+     "bf2ad82946204f372c1d2dcb673ba5d8f795a3e56c88249f833c50946e164337"),
     (["sample", "--map", "lv3", "--period", "4", "--seeds", "5"],
      "729de67d3230df751b3df1ec87eb253dc915231ff26986e9c45cd01dae6164eb"),
 ]

@@ -117,11 +117,7 @@ def _on_zero_set(den: MPoly, point):
 @pytest.mark.parametrize("name", MAP_NAMES)
 def test_map_functions_match_ratfunc_eval(name):
     m = catalog_get(name, params=PARAMS.get(name))
-    pairs = [(m.invariants, m.invariant_values)]
-    if m.components is not None:
-        pairs.append((m.components, m.step))
-    else:
-        assert m.step is None
+    pairs = [(m.invariants, m.invariant_values), (m.components, m.step)]
     rng = random.Random(f"compiled:{name}")
     poles = 0
     for _ in range(40):

@@ -1,16 +1,14 @@
 """Elimination engine: factor filtering, derivation, fixture verdicts."""
 
 import json
-import random
-from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from periodmaps.algebra import MPoly, equal_up_to_scale, parse_poly, poly_gcd
+from periodmaps.algebra import MPoly, equal_up_to_scale, parse_poly
 from periodmaps.elim import (
-    EliminationProblem, _poly_sqrt, _rational_sqrt, check_fixture,
-    default_transitions, derive, eliminate, fixtures_for, make_transitions)
+    EliminationProblem, check_fixture, default_transitions, derive,
+    eliminate, fixtures_for, make_transitions)
 from periodmaps.catalog import MAPS
 from periodmaps.errors import EliminationError
 
@@ -107,7 +105,7 @@ def test_the_running_error_bound_leaves_wide_margins(monkeypatch):
     for name, period in pairs:
         assert derive(name, period,
                       transitions=default_transitions(name, period))
-    assert len(worst[True]) == 22 and len(worst[False]) == 51
+    assert len(worst[True]) == 21 and len(worst[False]) == 50
     assert max(worst[True]) <= 1e-13
     assert min(worst[False]) >= 0.1
 
@@ -166,62 +164,3 @@ def test_registry_eliminations_cover_the_recorded_fixtures():
 def test_unknown_standard_problem():
     with pytest.raises(EliminationError):
         derive("euler", 3)
-
-
-def _sqrt_by_gcd(p):
-    """_poly_sqrt as it was: gcd(p, dp/dv) scaled until its square is p."""
-    if p.total_degree() == 0:
-        r = _rational_sqrt(p.constant_term())
-        return None if r is None else MPoly.const(r)
-    v = next(v for v in p.used_vars() if p.degree(v))
-    g = poly_gcd(p, p.derivative(v))
-    p_a, sq_a = MPoly.align(p, g * g)
-    scale = p_a.leading_coeff() / sq_a.leading_coeff()
-    if sq_a * scale != p_a:
-        return None
-    r = _rational_sqrt(scale)
-    return None if r is None else g * r
-
-
-def _random_poly(rng, variables=("x", "y", "a")):
-    terms = {tuple(rng.randint(0, 2) for _ in variables):
-             Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
-                      rng.randint(1, 4))
-             for _ in range(rng.randint(1, 4))}
-    return MPoly(variables, terms)
-
-
-def test_poly_sqrt_matches_the_gcd_route_on_planted_squares():
-    """c * s^2 is a square exactly when c is a rational square.  Where the
-    gcd route finds a root, the two agree up to sign; it finds none when s
-    has a factor free of the variable it differentiates in (a square
-    factor of p's content in that variable), where the root is still
-    read off term by term."""
-    rng = random.Random("poly-sqrt-planted")
-    outcomes = set()
-    for _ in range(60):
-        s = _random_poly(rng)
-        c = Fraction(rng.choice([1, 2, 3, 4, 9, 12]), rng.choice([1, 3, 4]))
-        p = c * s * s
-        got, want = _poly_sqrt(p), _sqrt_by_gcd(p)
-        assert (got is not None) == (_rational_sqrt(c) is not None)
-        if got is not None:
-            assert got * got == p
-        if want is not None:
-            assert got == want or got == -want
-        outcomes.add((got is None, want is None))
-    assert outcomes == {(True, True), (False, False), (False, True)}
-
-
-@pytest.mark.parametrize("text", [
-    "2*x^2 + 4*x*y + 2*y^2",        # leading coefficient not a square
-    "-x^2 - 2*x - 1",               # nor is a negative one
-    "x^3 + 3*x^2 + 3*x + 1",        # odd leading exponent
-    "x^2 + 2*x*y + y^2 + y",        # s^2 + m: (x + y)^2 + y
-    "x^2*a^2 + 2*x*a + 1 + a",      # (x*a + 1)^2 + a
-    "4*x^2*y^2 + 1",                # no middle term
-])
-def test_poly_sqrt_rejects_a_non_square(text):
-    p = parse_poly(text, ("x", "y", "a"))
-    assert _poly_sqrt(p) is None
-    assert _sqrt_by_gcd(p) is None

@@ -182,6 +182,8 @@ def _probe_commands():
     redraws after a root-finding failure."""
     commands = _readme_commands()
     commands += [["list", "--map", "lv3", "--format", "text"],
+                 # the one orbit command; its start lies on x = 1, where
+                 # lv4's step is regular
                  ["orbit", "--map", "lv4", "--init", "1,2,3,4", "--steps", "4"],
                  # the first draw of this seed has roots that miss their
                  # residual bound, and the sampler draws again

@@ -111,13 +111,12 @@ def test_lv3_membership_rejects_points_of_the_degenerate_locus(period, point):
 
 
 def test_the_sampler_redraws_a_point_on_the_degenerate_locus():
-    # lv4's first draw at seed 560106 is on z = 1, where its step has no
-    # branch that conserves the invariants
-    rng = random.Random("variety:lv4:2:560106")
-    assert tuple(_draw_coord(rng) for _ in range(3))[2] == 1
-    p = sample_on_variety(gamma_get("lv4", 2), 560106)
+    # lv3's first draw at period 2, seed 511, is on y = 1, where s = 0
+    rng = random.Random("variety:lv3:2:511")
+    assert tuple(_draw_coord(rng) for _ in range(2))[1] == 1
+    p = sample_on_variety(gamma_get("lv3", 2), 511)
     assert 1 not in p
-    assert verify_period(catalog_get("lv4"), p, 2).passed(1e-9)
+    assert verify_period(catalog_get("lv3"), p, 2).passed(1e-9)
 
 
 def test_lv3_generators_carry_no_power_of_s():
