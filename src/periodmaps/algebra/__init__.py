@@ -1,6 +1,7 @@
 """Exact polynomial/rational-function kernel and numeric boundary tools."""
 
-from .gcd import cofactors, poly_content, poly_gcd, squarefree_part
+from .gcd import (cofactors, poly_content, poly_gcd, pseudo_rem,
+                  squarefree_part)
 from .poly import (MPoly, divides, exact_divide, normalize, parse_poly,
                    strip_var_monomials)
 from .ratfunc import RatFunc, compile_eval, compose_parts
@@ -12,7 +13,7 @@ __all__ = [
     "MPoly", "RatFunc",
     "parse_poly", "exact_divide", "divides",
     "strip_var_monomials", "normalize",
-    "cofactors", "poly_content", "poly_gcd", "squarefree_part",
+    "cofactors", "poly_content", "poly_gcd", "pseudo_rem", "squarefree_part",
     "resultant", "sylvester_matrix", "det_bareiss",
     "roots", "roots_of_poly", "roots_of_values", "coefficient_values",
     "companion_roots", "root_sort_key",

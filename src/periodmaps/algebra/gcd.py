@@ -44,7 +44,7 @@ def _content(p: MPoly, var: str, gcd) -> MPoly:
     return g.primitive() if g.total_degree() else MPoly.const(1)
 
 
-def _pseudo_rem(p: MPoly, q: MPoly, var: str) -> MPoly:
+def pseudo_rem(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Pseudo-remainder of p by q in var (lc(q)^(dp-dq+1) * p mod q)."""
     p, q = MPoly.align(p, q)
     dq = q.degree(var)
@@ -256,7 +256,7 @@ def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
         a, b = b, a
     # every b is nonzero and primitive in var: no content pass at the end
     while b.degree(var):
-        r = _pseudo_rem(a, b, var)
+        r = pseudo_rem(a, b, var)
         if r.is_zero():
             return (c * b).primitive()
         a, b = b, exact_divide(r, _content(r, var, _prs_gcd)).primitive()

@@ -433,18 +433,6 @@ class MPoly:
             raise _arity_error(values, need)
         return check_finite(_horner(plan, values))
 
-    def abs_coeffs(self) -> "MPoly":
-        """self with each coefficient c replaced by |c|.
-
-        Its float plan is self's with each leaf l made complex(abs(l.real)),
-        not a second compile: the leaves are real and float rounding is
-        symmetric, so the floats are those of compiling the copy anew.
-        """
-        need, plan = self.float_plan()
-        q = MPoly._make(self.vars, {e: abs(c) for e, c in self.terms.items()})
-        q._plan = need, _abs_plan(plan)
-        return q
-
     def max_abs_coeff(self) -> float:
         return max((abs(float(c)) for c in self.terms.values()), default=0.0)
 
@@ -474,15 +462,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.vars}, {self})"
-
-
-def _abs_plan(node):
-    """A float plan node with each leaf l replaced by complex(abs(l.real))."""
-    if node.__class__ is not tuple:
-        return complex(abs(node.real))
-    i, first, steps, last = node
-    return (i, _abs_plan(first),
-            tuple((gap, _abs_plan(child)) for gap, child in steps), last)
 
 
 def _horner(node, values):

@@ -473,6 +473,4 @@ def descriptor(m: IntegrableMap) -> dict:
         "components": [str(c) for c in m.components],
         "invariants": {n: str(h)
                        for n, h in zip(m.invariant_names, m.invariants)},
-        # every map has components now; the key keeps the reports' shape
-        "implicit": False,
     }

@@ -20,7 +20,7 @@ from . import varieties as V
 from .algebra import equal_up_to_scale
 from .catalog import (MAP_NAMES, MAPS, catalog_get, check_params, descriptor,
                       elimination_setups, params_json)
-from .elim import check_fixture, default_transitions, derive, fixtures_for
+from .elim import check_fixture, derive, fixtures_for
 from .errors import (MissingParameterError, NotRecordedError,
                      PeriodmapsError, UnknownMapError, UnknownVarietyError)
 from .orbit import exclusivity_scan, iterate, orbit_csv, verify_period
@@ -208,18 +208,13 @@ def cmd_eliminate(args) -> int:
     params = _collect_params(args)
     name = args.map
     check_params(name, params)
-    # a pair with nothing recorded is a usage error, raised before sampling
+    # a pair with nothing recorded is a usage error, raised before deriving
     elimination_setups(name, args.period)
     try:
         fixes = fixtures_for(name, args.period)
     except NotRecordedError:
         fixes = None            # derivable, but nothing recorded to match
-    try:
-        transitions = default_transitions(name, args.period, params)
-    except UnknownVarietyError:
-        transitions = None      # no variety recorded to sample: unfiltered
-    results = derive(name, args.period, transitions=transitions,
-                     tol=args.tol, params=params)
+    results = derive(name, args.period, params=params)
     targets = [(fix.index, fix.F) for fix in fixes or ()]
     if params:
         # the family's recorded recurrences at the given parameter values
@@ -235,7 +230,7 @@ def cmd_eliminate(args) -> int:
         entry["pass"] = fixes is None or match is not None
         verdicts.append(entry)
     config = {"command": "eliminate", "map": name, "period": args.period,
-              "tol": args.tol, "params": params_json(params or {})}
+              "params": params_json(params or {})}
     _emit(args, _report(args, config, verdicts, t0))
     return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_FAIL
 
@@ -271,13 +266,15 @@ def cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-def _add_common(sp, period_required=True, seeds=True, params=True):
+def _add_common(sp, period_required=True, seeds=True, params=True,
+                tol=True):
     sp.add_argument("--map", required=True, choices=MAP_NAMES + ("example",))
     sp.add_argument("--period", type=int, required=period_required)
     if seeds:
         sp.add_argument("--seeds", type=int, default=10)
         sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    if tol:
+        sp.add_argument("--tol", type=float, default=1e-9)
     if params:
         _add_params(sp)
     _add_output(sp)
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("eliminate", help="derive recurrence polynomials")
-    _add_common(sp, seeds=False)
+    _add_common(sp, seeds=False, tol=False)
     sp.set_defaults(fn=cmd_eliminate)
 
     sp = sub.add_parser("orbit", help="dump an orbit as CSV or JSON")

@@ -3,8 +3,11 @@
 Given the cleared map relations together with the numerator of a composed
 variety generator, eliminating the unwanted coordinates leaves polynomial
 constraints between one coordinate and its image.  Resultants introduce
-extraneous factors; those are filtered out numerically against true
-on-variety transitions and removed by exact division.
+extraneous factors: the leading coefficients of the relations in the
+eliminated variables (Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 3 sec. 6).  Those that do not vanish on the variety are
+removed by exact division, and every result is certified to vanish on
+it; both decisions are exact (`OnVariety`).
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import (MPoly, equal_up_to_scale, exact_divide, normalize,
-                      parse_poly, poly_content, resultant, squarefree_part,
+from .algebra import (MPoly, compose_parts, divides, equal_up_to_scale,
+                      exact_divide, normalize, parse_poly, poly_content,
+                      pseudo_rem, resultant, squarefree_part,
                       strip_var_monomials)
 from .catalog import (MAPS, apply_map, catalog_get, elimination_setups,
                       transition_params)
@@ -23,10 +27,43 @@ from .data import FIXTURES
 from .errors import (EliminationError, InexactDivisionError,
                      NotRecordedError, NothingToEliminateError, PoleError,
                      SamplingError)
-from .varieties import gamma_get, sample_on_variety
+from .varieties import gamma_get, sample_on_variety, triangular_chain
 
 TRANSITION_TOL = 1e-8
-MIN_TRANSITIONS = 8
+
+
+class OnVariety:
+    """Exact test that a polynomial in the point and its image vanishes
+    on a period variety: with each image coordinate replaced by its
+    component num/den and the denominators cleared, it pseudo-reduces to
+    zero by the variety's triangular chain.  An exact quotient by a
+    generator proves that at less cost, so it is tried first.  Each
+    polynomial is tested once, however many problems share the variety.
+    """
+
+    def __init__(self, images: Mapping[str, Tuple[MPoly, MPoly]],
+                 chain: Sequence[Tuple[MPoly, str]]):
+        self.images = images        # image coordinate -> (num, den)
+        self.chain = chain          # ((generator, coordinate), ...)
+        self._known = {}
+        for cap, (_, den) in images.items():
+            if self._reduces_to_zero(den):
+                raise EliminationError(
+                    f"the map has a pole in {cap} on the whole variety")
+
+    def vanishes(self, f: MPoly) -> bool:
+        known = self._known.get(f)
+        if known is None:
+            known = self._known[f] = self._reduces_to_zero(
+                compose_parts(f, self.images)[0])
+        return known
+
+    def _reduces_to_zero(self, n: MPoly) -> bool:
+        for g, v in self.chain:
+            if n.is_zero() or divides(g, n):
+                return True
+            n = pseudo_rem(n, g, v)
+        return n.is_zero()
 
 
 @dataclass(frozen=True)
@@ -34,6 +71,7 @@ class EliminationProblem:
     relations: Tuple[MPoly, ...]
     eliminate: Tuple[str, ...]
     keep: Tuple[str, ...]
+    variety: OnVariety          # what every result must vanish on
 
     def __post_init__(self):
         if not 1 <= len(self.eliminate) <= 2:
@@ -46,31 +84,6 @@ class EliminationProblem:
             if bad:
                 raise EliminationError(
                     f"relation uses undeclared variables {sorted(bad)}")
-
-
-Transition = Dict[str, complex]
-
-
-def _eval_at(p: MPoly, t: Transition) -> complex:
-    return p.eval([complex(t.get(v, 0)) for v in p.vars])
-
-
-def _residuals(p: MPoly, transitions: Sequence[Transition]):
-    """(|p(t)|, sum |c_i| |m_i(t)|) at each transition t: the value of p
-    and the running-error scale of its Horner evaluation, the same plan
-    with |c| leaves at |t|.  Roundoff moves the value by at most a small
-    multiple of the unit roundoff times that scale, however large the
-    monomials are (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, sec. 5.1)."""
-    scale = p.abs_coeffs()
-    for t in transitions:
-        yield (abs(_eval_at(p, t)),
-               _eval_at(scale, {v: abs(z) for v, z in t.items()}).real)
-
-
-def _vanishes(p: MPoly, transitions: Sequence[Transition],
-              tol: float) -> bool:
-    return all(r <= tol * s for r, s in _residuals(p, transitions))
 
 
 def _eliminate_once(polys: List[MPoly], v: str) -> List[MPoly]:
@@ -101,70 +114,63 @@ def _eliminate_once(polys: List[MPoly], v: str) -> List[MPoly]:
 
 
 def _filter_factors(p: MPoly, spurious: Sequence[MPoly],
-                    transitions: Optional[Sequence[Transition]],
-                    tol: float) -> MPoly:
+                    variety: OnVariety) -> MPoly:
     p = strip_var_monomials(p)
     if p.total_degree() == 0:
         return p                # a monomial: eliminate drops it
     main = next((v for v in p.used_vars() if v.isupper()),
                 None) or next(iter(p.used_vars()))
     p = squarefree_part(p, main)
-    if transitions:
-        for cand in spurious:
-            cand = strip_var_monomials(cand.primitive())
-            if cand.total_degree() == 0:
-                continue
-            if _vanishes(cand, transitions, tol):
-                continue        # vanishing factors are genuine, keep them
-            while p.total_degree() > cand.total_degree():
-                try:
-                    q = exact_divide(p, cand)
-                except InexactDivisionError:
-                    break
-                if not _vanishes(q, transitions, tol):
-                    break
-                p = q
+    for cand in spurious:
+        while p.total_degree() > cand.total_degree() > 0:
+            try:
+                q = exact_divide(p, cand)
+            except InexactDivisionError:
+                break
+            if variety.vanishes(cand):
+                break           # a genuine factor: keep it
+            p = q
     return normalize(p)
 
 
-def eliminate(prob: EliminationProblem,
-              transitions: Optional[Sequence[Transition]] = None,
-              tol: float = TRANSITION_TOL) -> List[MPoly]:
+def eliminate(prob: EliminationProblem) -> List[MPoly]:
     """Polynomial consequences of the relations in the keep variables.
 
     The variables are eliminated in the order the problem lists them, the
-    order `MapSpec.eliminations` records.  With transitions supplied (true
-    (x, X) samples on the variety, at least eight), extraneous resultant
-    factors are divided out and every returned factor is required to
-    vanish on all of them.
+    order `MapSpec.eliminations` records.  Extraneous resultant factors
+    are divided out, and every returned factor is certified to vanish on
+    the problem's variety.
     """
-    if transitions is not None and len(transitions) < MIN_TRANSITIONS:
-        raise EliminationError(
-            f"need at least {MIN_TRANSITIONS} transition samples for filtering")
     polys = [p.with_vars(tuple(sorted(set(p.used_vars())
              | set(prob.eliminate) | set(prob.keep))))
              for p in prob.relations]
     for v in prob.eliminate:
         polys = _eliminate_once(polys, v)
-    spurious = [rel.as_univariate(v)[-1] for rel in prob.relations
-                for v in prob.eliminate if rel.degree(v)]
+    spurious = [strip_var_monomials(rel.as_univariate(v)[-1].primitive())
+                for rel in prob.relations for v in prob.eliminate
+                if rel.degree(v)]
     results = []
     for p in polys:
-        got = _filter_factors(p, spurious, transitions, tol)
-        if got.total_degree() == 0:
+        got = _filter_factors(p, spurious, prob.variety)
+        if got.total_degree() == 0 or any(got == r for r in results):
             continue
-        if transitions and not _vanishes(got, transitions, tol):
+        if not prob.variety.vanishes(got):
             raise EliminationError(
-                "no factor surviving filtering vanishes on the transitions",
-                witnesses=(got, list(transitions)))
-        if not any(got == r for r in results):
-            results.append(got)
+                f"derived factor does not vanish on the variety: {got}")
+        results.append(got)
     if not results:
         raise EliminationError("elimination left no nontrivial factor")
     return results
 
 
 # ---------------------------------------------------------------- fixtures
+
+Transition = Dict[str, complex]
+
+
+def _eval_at(p: MPoly, t: Transition) -> complex:
+    return p.eval([complex(t.get(v, 0)) for v in p.vars])
+
 
 @dataclass(frozen=True)
 class Fixture:
@@ -217,31 +223,37 @@ def standard_problems(map_name: str, period: int,
 
     Each solves for one image coordinate from its relation with the point
     and the variety; it keeps every variable of those polynomials that it
-    does not eliminate.  A map with no symbolic relations is built at the
-    parameters `transition_params` gives for params.
+    does not eliminate.  All of them share one exact test of the variety.
+    A map with no symbolic relations is built at the parameters
+    `transition_params` gives for params.
     """
     setups = elimination_setups(map_name, period)
     owner, at = transition_params(map_name, params)
     relations = MAPS[owner].relations
+    m = catalog_get(owner, params=at)
     if relations is not None:
         rels, variety = relations(period)
+        chain = triangular_chain(variety, m.varnames)
     else:
-        m = catalog_get(owner, params=at)
         rels = {v.upper(): MPoly.var(v.upper()) * c.den - c.num
                 for v, c in zip(m.varnames, m.components)}
-        variety = gamma_get(owner, period, m=m).composed_numerators()
+        g = gamma_get(owner, period, m=m)
+        variety, chain = g.composed_numerators(), g.chain()
+    # each relation is X*den - num, linear in its image coordinate X
+    images = {cap: (-rel.coeff_of(cap, 0), rel.coeff_of(cap, 1))
+              for cap, rel in rels.items()}
+    on_variety = OnVariety(images, chain)
     probs = []
     for cap, gone in setups:
         used = (rels[cap],) + tuple(variety)
         keep = set().union(*(r.used_vars() for r in used)) - set(gone)
         probs.append(EliminationProblem(used, eliminate=gone,
-                                        keep=tuple(sorted(keep))))
+                                        keep=tuple(sorted(keep)),
+                                        variety=on_variety))
     return probs
 
 
-def derive(map_name: str, period: int,
-           transitions: Optional[Sequence[Transition]] = None,
-           tol: float = TRANSITION_TOL, params: dict = None) -> List[MPoly]:
+def derive(map_name: str, period: int, params: dict = None) -> List[MPoly]:
     """The recurrences of map_name at params, from the standard
     eliminations; one result polynomial per setup.
 
@@ -254,7 +266,7 @@ def derive(map_name: str, period: int,
     if params:
         catalog_get(map_name, params=params)
     out = [r for prob in standard_problems(map_name, period, params)
-           for r in eliminate(prob, transitions=transitions, tol=tol)]
+           for r in eliminate(prob)]
     owner, at = transition_params(map_name, params)
     values = params if owner == map_name else at
     if values and MAPS[owner].relations is not None:
@@ -312,7 +324,7 @@ def check_fixture(fixes: Sequence[Fixture],
     map_name, period = fixes[0].map_name, fixes[0].period
     transitions = default_transitions(map_name, period)
     try:
-        derived = derive(map_name, period, transitions=transitions, tol=tol)
+        derived = derive(map_name, period)
     except NotRecordedError:
         derived = []
     verdicts = []

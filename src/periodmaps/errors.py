@@ -70,11 +70,7 @@ class SamplingError(PeriodmapsError):
 
 
 class EliminationError(PeriodmapsError):
-    """Resultant-based elimination collapsed or no factor survived filtering."""
-
-    def __init__(self, message, witnesses=None):
-        super().__init__(message)
-        self.witnesses = witnesses
+    """Resultant elimination collapsed, or left no factor on the variety."""
 
 
 class NotRecordedError(EliminationError):

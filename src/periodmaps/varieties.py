@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import (MPoly, RatFunc, coefficient_values, compose_parts,
-                      exact_divide, parse_poly, root_sort_key, roots_of_poly,
-                      roots_of_values)
+                      exact_divide, parse_poly, pseudo_rem, root_sort_key,
+                      roots_of_poly, roots_of_values)
 from .biquad import GAMMAS, on_pencil
 from .catalog import MAPS, IntegrableMap, catalog_get
 from .data import VARIETIES
@@ -72,13 +72,28 @@ class VarietyGenerator:
         return tuple(1 + gamma.max_abs_coeff() for gamma in self.gammas)
 
     @lru_cache(maxsize=None)
-    def toda_quadratic(self) -> MPoly:
-        """toda3's t2 with w eliminated through t1 = 0, which leaves it
-        quadratic in v; built on first use and cached."""
-        t1 = self.substitution["t1"].num
-        t2 = self.substitution["t2"].num
-        chain = -(t1 - MPoly.var("w").with_vars(self.owner.varnames))
-        return compose_parts(t2, {"w": chain})[0]
+    def chain(self) -> Tuple[Tuple[MPoly, str], ...]:
+        """triangular_chain of the composed numerators, cached."""
+        return triangular_chain(self.composed_numerators(),
+                                self.owner.varnames)
+
+
+def triangular_chain(generators: Sequence[MPoly],
+                     coords: Sequence[str]) -> Tuple[Tuple[MPoly, str], ...]:
+    """((generator, coordinate), ...): generator i pseudo-reduced by the
+    earlier ones, in coords[-1 - i], the coordinate the sampler solves it
+    for.  toda3's t1 is linear in w, so its second entry is t2 with w
+    eliminated, quadratic in v."""
+    chain = []
+    for g, v in zip(generators, reversed(coords)):
+        for h, w in chain:
+            g = pseudo_rem(g, h, w)
+        if not g.degree(v):
+            # nothing to solve for, and a pseudo-remainder by g would be 0
+            raise SamplingError(
+                f"generator does not involve the solve coordinate {v!r}")
+        chain.append((g, v))
+    return tuple(chain)
 
 
 def available_periods(map_name: str) -> Tuple[int, ...]:
@@ -268,17 +283,13 @@ def sample_on_variety(g: VarietyGenerator, seed: int):
 
     if g.map_name == "toda3":
         # t1 = 0 fixes w linearly; t2 = 0 is then quadratic in v
-        t2sub = g.toda_quadratic()
+        t2sub = g.chain()[1][0]
         solve = lambda drawn: _solve_toda(g, t2sub, drawn)
     else:
         if g.l != 1:
             raise SamplingError(f"no sequential solve path for {g.map_name} "
                                 f"with {g.l} generators")
-        num = g.composed_numerators()[0]
-        last = names[-1]
-        if len(num.as_univariate(last)) == 1:
-            raise SamplingError(
-                f"generator does not involve the solve coordinate {last!r}")
+        (num, last), = g.chain()
         solve = lambda drawn: _solve_last(g, num, drawn, last)
     locus = MAPS[g.map_name].degenerate
     for _ in range(32):

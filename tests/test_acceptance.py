@@ -15,7 +15,7 @@ from periodmaps.algebra import (
     MPoly, compose_parts, equal_up_to_scale, parse_poly, roots)
 from periodmaps.biquad import GAMMAS, from_3dlv_symbolic, on_pencil
 from periodmaps.catalog import apply_map, catalog_get
-from periodmaps.elim import default_transitions, derive, fixtures_for
+from periodmaps.elim import derive, fixtures_for
 from periodmaps.errors import PeriodmapsError, RootFindingError
 from periodmaps.moebius import derive_gamma
 from periodmaps.orbit import exclusivity_scan, verify_period
@@ -47,8 +47,7 @@ def test_criterion_1_lyness_periodicity():
 
 
 def test_criterion_2_example_elimination_and_omega_routes():
-    ts = default_transitions("example", 3)
-    derived = derive("example", 3, transitions=ts)
+    derived = derive("example", 3)
     target = parse_poly("(x+1)^2*X^2 + x*(x+1)*X + x^2", ("x", "X"))
     symbolic_ok = any(equal_up_to_scale(r, target) for r in derived)
 
@@ -260,8 +259,7 @@ def test_criterion_8_qrt_recurrences():
               for p in (H.num, H.den))
     display, _ = compose_parts(on_pencil(gamma, qp, qpp), {"h": h})
     params = {"qp": qp, "qpp": qpp}
-    derived = derive("qrt", 3, params=params,
-                     transitions=default_transitions("qrt", 3, params))
+    derived = derive("qrt", 3, params=params)
     symbolic_ok = (len(derived) == 1
                    and equal_up_to_scale(display, derived[0]))
 

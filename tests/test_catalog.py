@@ -51,7 +51,8 @@ def test_every_catalog_map_constructs_and_describes():
         assert d["name"] == name
         assert d["d"] == len(d["vars"])
         assert d["components"] == [str(c) for c in m.components]
-        assert d["implicit"] is False
+        assert sorted(d) == ["components", "d", "invariants", "name",
+                             "params", "vars"]
 
 
 def test_unknown_map_and_missing_parameter():

@@ -240,6 +240,8 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
       "9"], "unrecognized arguments: --seeds 5 --seed 9"),
     (["eliminate", "--map", "lv4", "--period", "2", "--seeds", "3", "--seed",
       "4"], "unrecognized arguments: --seeds 3 --seed 4"),
+    (["eliminate", "--map", "lv4", "--period", "2", "--tol", "1e-7"],
+     "unrecognized arguments: --tol 1e-7"),
     (["list", "--out", "/no/such/dir/x.json"], "/no/such/dir/x.json"),
     (["list", "--out", "."], "--out .: is a directory"),
     (["orbit", "--map", "lv3", "--init", "1e400,1,2", "--steps", "2"],
@@ -254,7 +256,8 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
         "eliminate-example-period",
         "eliminate-moebius2d-period", "fixtures-unrecorded-period",
         "orbit-init-length", "verify-csv", "list-csv", "fixtures-parameters",
-        "fixtures-seeds", "eliminate-seeds", "out-missing-directory",
+        "fixtures-seeds", "eliminate-seeds", "eliminate-tol",
+        "out-missing-directory",
         "out-directory", "orbit-init-overflow", "parameter-overflow"])
 def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     try:
@@ -267,18 +270,53 @@ def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     assert out.out == ""
 
 
-@pytest.mark.parametrize("qp, qpp", [
-    ("1,0,0,0,0,0", "0,0,1,0,0,0"),     # its resultant is a monomial
-    ("0,1,0,0,-1,0", "0,-1,0,1,0,0"),   # derives X*x - X - x unfiltered
-], ids=["monomial-resultant", "unfiltered-factor"])
-def test_bad_input_eliminate_with_no_transitions_fails(capsys, qp, qpp):
-    # no transition of these members can be sampled, so nothing would
-    # filter the factors: eliminate fails rather than pass unchecked
+@pytest.mark.parametrize("period, qp, qpp, message", [
+    # its resultant is a monomial
+    (3, "1,0,0,0,0,0", "0,0,1,0,0,0", "elimination left no nontrivial factor"),
+    # Y's denominator vanishes on the whole variety
+    (3, "0,1,0,0,-1,0", "0,-1,0,1,0,0",
+     "the map has a pole in Y on the whole variety"),
+    (4, "0,1,0,0,-1,0", "0,-1,0,1,0,0",
+     "generator does not involve the solve coordinate 'y'"),
+    (5, "0,1,0,0,-1,0", "0,-1,0,1,0,0",
+     "derived factor does not vanish on the variety: X*x - X - x"),
+], ids=["monomial-resultant", "unfiltered-factor", "generator-without-y",
+        "failed-certificate"])
+def test_bad_input_eliminate_with_no_transitions_fails(capsys, period, qp,
+                                                        qpp, message):
+    # no transition of these members can be sampled; eliminate samples
+    # none, and its exact tests reject each member with a reason
     code, out, err = _run(capsys, "eliminate", "--map", "qrt", "--period",
-                          "3", "--qp", qp, "--qpp", qpp)
+                          str(period), "--qp", qp, "--qpp", qpp)
     assert code == EXIT_FAIL
-    assert "error: could not collect 12 transitions for (qrt, 3)" in err
+    assert f"error: {message}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--map", "lv3", "--period", "3"],
+    ["--map", "toda3", "--period", "3"],
+    ["--map", "moebius2d", "--period", "7"],
+    ["--map", "qrt", "--period", "3", "--qp", "1,2,0,3,1,2", "--qpp",
+     "0,1,1,0,2,1"],
+], ids=lambda argv: " ".join(argv[1:4:2]))
+def test_eliminate_neither_samples_nor_finds_roots(capsys, monkeypatch,
+                                                   argv):
+    from periodmaps import elim, varieties
+    # the package exports a function named roots, which hides the module
+    roots = sys.modules["periodmaps.algebra.roots"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eliminate sampled or found roots")
+    for module, name in [(elim, "make_transitions"),
+                         (elim, "sample_on_variety"),
+                         (varieties, "sample_on_variety"),
+                         (varieties, "roots_of_values"),
+                         (roots, "roots_of_values")]:
+        monkeypatch.setattr(module, name, refuse)
+    code, out, _ = _run(capsys, "eliminate", *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["verdicts"]
 
 
 def test_eliminate_rejects_a_collapsing_moebius_member(capsys):
@@ -305,18 +343,18 @@ def test_a_reducible_qrt_pencil_is_rejected(capsys):
 # the rest dumped as the CLI dumps it: any float that moves shows up here
 REPORT_SHA256 = [
     (["verify", "--map", "toda3", "--period", "3", "--seeds", "5"],
-     "61eafa6c307caadc1b8fdeb4d9ce8c699085cbac14d97a91c6943e35e3774999"),
+     "32a8c22e39b0a2b1e588cd316c6b4a3cec30f4fe41e9ceb72eb9523b8d6e253a"),
     (["verify", "--map", "qrt", "--period", "5", "--qp", "1,2,0,3,1,2",
       "--qpp", "0,1,1,0,2,1", "--seeds", "5"],
-     "4dce16040ea861b2fa2a8527df67a11e3da2b8b7e06029ebd5649d81bce94c80"),
+     "f2cce46cca9248f0101da9e64932aa592f898bc1995b4c570d87a269509e2526"),
     (["verify", "--map", "euler", "--period", "3", "--alpha=1/3",
       "--beta=1/5", "--gamma=-2/7", "--seeds", "5"],
-     "c39a8ffcc277cc104f4e6d6b0fe9e9bcc11abd631113844f4b70064676f0644c"),
+     "46ef555cbcda95b3cd947217b28315c9201854df26790481349f87e81b342152"),
     (["verify", "--map", "moebius2d", "--period", "5", "--a", "2", "--b",
       "1/3", "--seeds", "5"],
-     "491c2e235d01442ec78e388f7c552b2cd1a723f20fdedbe650829fda132284e0"),
+     "4c19b2ec36dfcb3f8f06fd5fa5dc0d71e3992c146f54df60430167a4114e2d09"),
     (["verify", "--map", "lv4", "--off-variety", "--seeds", "5"],
-     "bf2ad82946204f372c1d2dcb673ba5d8f795a3e56c88249f833c50946e164337"),
+     "7c74cc1e6f49321a4788cf6bfe54cf88d877facf6e5a16a95a765fcb2ab6e177"),
     (["sample", "--map", "lv3", "--period", "4", "--seeds", "5"],
      "729de67d3230df751b3df1ec87eb253dc915231ff26986e9c45cd01dae6164eb"),
 ]

@@ -1,4 +1,5 @@
-"""Elimination engine: factor filtering, derivation, fixture verdicts."""
+"""Elimination engine: exact factor decisions, derivation, fixture
+verdicts."""
 
 import json
 from importlib import resources
@@ -6,16 +7,21 @@ from importlib import resources
 import pytest
 
 from periodmaps.algebra import MPoly, equal_up_to_scale, parse_poly
+from periodmaps import elim
 from periodmaps.elim import (
-    EliminationProblem, check_fixture, default_transitions, derive,
-    eliminate, fixtures_for, make_transitions)
+    EliminationProblem, OnVariety, check_fixture, derive, eliminate,
+    fixtures_for, make_transitions)
 from periodmaps.catalog import MAPS
 from periodmaps.errors import EliminationError
 
+X, x, y = (MPoly.var(v) for v in ("X", "x", "y"))
+# the line y = 5 with the image X = y
+ON_LINE = OnVariety({"X": (y, MPoly.const(1))}, ((y - 5, "y"),))
+
 
 def test_trivial_linear_elimination():
-    rels = (parse_poly("X - y", ("X", "y")), parse_poly("y - 5", ("y",)))
-    prob = EliminationProblem(rels, eliminate=("y",), keep=("X",))
+    prob = EliminationProblem((X - y, y - 5), eliminate=("y",), keep=("X",),
+                              variety=ON_LINE)
     out = eliminate(prob)
     assert len(out) == 1
     assert equal_up_to_scale(out[0], parse_poly("X - 5", ("X",)))
@@ -24,40 +30,44 @@ def test_trivial_linear_elimination():
 def test_problem_validation():
     rel = parse_poly("X - y*z*w", ("X", "y", "z", "w"))
     with pytest.raises(EliminationError):
-        EliminationProblem((rel,), eliminate=("y", "z", "w"), keep=("X",))
+        EliminationProblem((rel,), ("y", "z", "w"), ("X",), ON_LINE)
     with pytest.raises(EliminationError):
-        EliminationProblem((rel,), eliminate=("y",), keep=("y", "X"))
+        EliminationProblem((rel,), ("y",), ("y", "X"), ON_LINE)
     with pytest.raises(EliminationError):
-        EliminationProblem((rel,), eliminate=("y", "z"), keep=("X",))
+        EliminationProblem((rel,), ("y", "z"), ("X",), ON_LINE)
 
 
 def test_a_monomial_resultant_leaves_no_factor():
     # the resultant in y is x^4 X^4, which stripping monomials makes 1
-    X, x, y = (MPoly.var(v) for v in ("X", "x", "y"))
-    prob = EliminationProblem((X - y, x ** 4 * y ** 4), ("y",), ("X", "x"))
+    variety = OnVariety({"X": (y, MPoly.const(1))}, ((x ** 4 * y ** 4, "y"),))
+    prob = EliminationProblem((X - y, x ** 4 * y ** 4), ("y",), ("X", "x"),
+                              variety)
     with pytest.raises(EliminationError, match="no nontrivial factor"):
         eliminate(prob)
 
 
-def test_too_few_transitions_rejected():
-    rels = (parse_poly("X - y", ("X", "y")), parse_poly("y - 5", ("y",)))
-    prob = EliminationProblem(rels, eliminate=("y",), keep=("X",))
-    with pytest.raises(EliminationError):
-        eliminate(prob, transitions=[{"X": 5.0}] * 3)
+def test_a_factor_off_the_variety_fails_its_certificate():
+    # X - 5 vanishes on the line y = 5, not on the line y = 6
+    off = OnVariety({"X": (y, MPoly.const(1))}, ((y - 6, "y"),))
+    prob = EliminationProblem((X - y, y - 5), ("y",), ("X",), off)
+    with pytest.raises(EliminationError, match="does not vanish"):
+        eliminate(prob)
+
+
+def test_a_denominator_that_vanishes_on_the_variety_is_a_pole():
+    with pytest.raises(EliminationError, match="pole in X"):
+        OnVariety({"X": (x, y - 5)}, ((y - 5, "y"),))
 
 
 def test_worked_example_derivation():
-    ts = default_transitions("example", 3)
-    out = derive("example", 3, transitions=ts)
+    out = derive("example", 3)
     fix = fixtures_for("example", 3)[0]
     assert any(equal_up_to_scale(r, fix.F) for r in out)
 
 
 def test_derivation_soundness_on_fresh_transitions():
-    # polynomials derived from one batch of transitions vanish on a
-    # disjoint, larger batch
-    ts = make_transitions("lv3", 3, count=12, base_seed=0)
-    out = derive("lv3", 3, transitions=ts)
+    # the exactly certified polynomials vanish on sampled transitions
+    out = derive("lv3", 3)
     fresh = make_transitions("lv3", 3, count=24, base_seed=500)
     for r in out:
         scale = 1 + float(r.max_abs_coeff())
@@ -69,8 +79,7 @@ def test_derivation_soundness_on_fresh_transitions():
 @pytest.mark.parametrize("name,period,count", [
     ("lv3", 2, 2), ("lv3", 3, 2), ("lv4", 2, 3), ("toda3", 3, 4)])
 def test_standard_derivations_reproduce_fixtures(name, period, count):
-    ts = default_transitions(name, period)
-    out = derive(name, period, transitions=ts)
+    out = derive(name, period)
     fixes = fixtures_for(name, period)
     assert len(fixes) == count
     for fix in fixes:
@@ -78,36 +87,42 @@ def test_standard_derivations_reproduce_fixtures(name, period, count):
 
 
 def test_moebius_symbolic_derivation():
-    ts = default_transitions("moebius2d", 5)
-    out = derive("moebius2d", 5, transitions=ts)
+    out = derive("moebius2d", 5)
     fix = fixtures_for("moebius2d", 5)[0]
     assert any(equal_up_to_scale(r, fix.F) for r in out)
 
 
-def test_the_running_error_bound_leaves_wide_margins(monkeypatch):
-    """Every vanishing test of elimination, relative to the running-error
-    scale sum |c_i| |m_i(t)|: the factors accepted stay within 1e-13 on
-    every transition, the candidates rejected reach 0.1 on some, both
-    far from the bound 1e-8.  lv3 p5's factors are among the accepted,
-    though the bound 1e-8 * (1 + max |c|) rejected its X factor."""
-    from periodmaps import elim
-    worst = {True: [], False: []}
-    residuals = elim._residuals
+# every elimination the registry records, qrt at two pencils
+QRT = ({"qp": (1, 2, 0, 3, 1, 2), "qpp": (0, 1, 1, 0, 2, 1)},
+       {"qp": (2, -1, 1, 0, 3, 1), "qpp": (1, 0, -1, 2, 1, 1)})
+RECORDED = [(target, period, params)
+            for spec in MAPS.values()
+            for target, periods in spec.eliminations.items()
+            for period in periods
+            for params in (QRT if target == "qrt" else (None,))]
 
-    def recording(p, transitions, tol):
-        ratios = [r / s for r, s in residuals(p, transitions)]
-        accepted = all(q <= tol for q in ratios)
-        worst[accepted].append(max(ratios))
-        return accepted
-    monkeypatch.setattr(elim, "_vanishes", recording)
-    pairs = [("example", 3), ("lv3", 2), ("lv3", 3), ("lv3", 4), ("lv3", 5),
-             ("lv4", 2), ("toda3", 3), ("moebius2d", 2), ("moebius2d", 5)]
-    for name, period in pairs:
-        assert derive(name, period,
-                      transitions=default_transitions(name, period))
-    assert len(worst[True]) == 21 and len(worst[False]) == 50
-    assert max(worst[True]) <= 1e-13
-    assert min(worst[False]) >= 0.1
+
+def test_exact_decisions_divide_out_only_toda3s_leading_coefficients(
+        monkeypatch):
+    """Across the recorded problems, the candidates found off the variety
+    and divided out are exactly three leading coefficients of toda3's
+    relations, and every output certifies."""
+    divided = []
+    vanishes = OnVariety.vanishes
+
+    def recording(self, f):
+        got = vanishes(self, f)
+        if not got:
+            divided.append(str(f))
+        return got
+    monkeypatch.setattr(OnVariety, "vanishes", recording)
+    for target, period, params in RECORDED:
+        for prob in elim.standard_problems(target, period, params):
+            out = eliminate(prob)
+            assert out and all(prob.variety.vanishes(r) for r in out)
+    assert len(RECORDED) == 20
+    assert divided == ["X - x - u", "Y*x + Y*u - x*y - x*v - u*v",
+                       "U*x + U*u - y*u"]
 
 
 def test_check_fixture_verdicts():

@@ -579,38 +579,6 @@ def test_a_second_eval_reuses_the_compiled_plan(monkeypatch):
     assert len(calls) == 1
 
 
-@LIGHT
-@given(polys_and_points())
-def test_abs_coeffs_evaluates_as_a_fresh_compile(case):
-    """The |c| copy's mapped plan gives the bits of compiling it anew."""
-    p, point = case
-    fresh = MPoly(p.vars, {e: abs(c) for e, c in p.terms.items()})
-    at = [abs(complex(z)) for z in point]
-    copy = p.abs_coeffs()
-    assert copy == fresh
-    got, want = copy.eval(at), fresh.eval(at)
-    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
-                                                want.imag.hex())
-
-
-def test_abs_coeffs_compiles_nothing_more(monkeypatch):
-    calls = []
-    compile_ = MPoly._compile
-
-    def counting(self):
-        calls.append(self)
-        return compile_(self)
-
-    monkeypatch.setattr(MPoly, "_compile", counting)
-    p = parse_poly("-3/7*x^3*y + x*z^2 - 5", ("x", "y", "z"))
-    copy = p.abs_coeffs()
-    assert calls == [p]
-    assert copy == parse_poly("3/7*x^3*y + x*z^2 + 5", ("x", "y", "z"))
-    assert copy.eval([1, 2, 0.5]) == pytest.approx(6 / 7 + 0.25 + 5)
-    p.abs_coeffs()
-    assert calls == [p]
-
-
 def test_rational_function_eval_converts_the_point_once(monkeypatch):
     """RatFunc.eval gives num.eval / den.eval bit for bit, and the same
     errors, from one conversion of the point shared by both halves."""

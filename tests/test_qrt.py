@@ -10,7 +10,7 @@ from periodmaps.algebra import (
 from periodmaps.biquad import GAMMAS, on_pencil, s_value
 from periodmaps.catalog import apply_map, catalog_get, invariants_eval
 from periodmaps.cli import main
-from periodmaps.elim import default_transitions, derive
+from periodmaps.elim import derive
 from periodmaps.errors import MissingParameterError, PeriodmapsError
 
 QP = (1, 2, 0, 3, 1, 2)
@@ -24,8 +24,7 @@ def _map():
 
 def _recurrence(n, params=PARAMS):
     """The one factor `eliminate --map qrt` derives, in (x, X)."""
-    ts = default_transitions("qrt", n, params)
-    got = derive("qrt", n, transitions=ts, params=params)
+    got = derive("qrt", n, params=params)
     assert len(got) == 1
     return got[0].with_vars(("x", "X")).primitive()
 

@@ -188,7 +188,10 @@ def _probe_commands():
                  # the first draw of this seed has roots that miss their
                  # residual bound, and the sampler draws again
                  ["sample", "--map", "lv3", "--period", "5", "--seeds", "1",
-                  "--seed", "12"]]
+                  "--seed", "12"],
+                 # a period with no variety recorded: a usage error that
+                 # names the recorded ones
+                 ["sample", "--map", "lv4", "--period", "3"]]
     for name, spec in MAPS.items():
         for target, periods in spec.eliminations.items():
             params = PROBE_PARAMS.get(name, []) if target == name else []
@@ -242,10 +245,7 @@ UNENTERED_ALLOWED = {
         "the matrix-product reference for power_coefficients",
     "biquad.py:from_3dlv_symbolic":
         "criterion 7's pullback identity onto the lv3 generators",
-    "algebra/poly.py:divides":
-        "perfbench/tracing.py traces it by name",
     "algebra/gcd.py:_prs_gcd": "fallback when the heuristic gcd gives up",
-    "algebra/gcd.py:_pseudo_rem": "the primitive PRS fallback's step",
     "algebra/gcd.py:_divided": "poly_gcd's exit for a zero input",
     "algebra/gcd.py:_canonical": "poly_gcd's exit for a zero input",
     "algebra/resultant.py:sylvester_matrix":
@@ -259,7 +259,6 @@ UNENTERED_ALLOWED = {
     "catalog.py:_euler_alpha_from_inertia":
         "euler's (I, J, K) parametrisation, which the CLI does not advertise",
     "algebra/poly.py:MPoly.__bool__": "the truth value protocol",
-    "algebra/poly.py:MPoly.__hash__": "MPoly is a hashable value",
     "algebra/poly.py:MPoly.__repr__": "debugging repr",
     "catalog.py:IntegrableMap.__repr__":
         "debugging repr without the compiled functions",

@@ -170,14 +170,19 @@ def test_sampled_points_are_bit_identical(name, period, seed):
     assert got == SAMPLED_HEX[(name, period, seed)]
 
 
-def test_toda_quadratic_is_built_once_per_generator():
+def test_the_chain_is_built_once_per_generator():
+    # toda3's second entry is t2 with w eliminated through t1 = 0, which
+    # leaves it quadratic in v: the polynomial its sampler solves
     g = gamma_get("toda3", 3)
-    q = g.toda_quadratic()
-    assert g.toda_quadratic() is q
+    chain = g.chain()
+    assert g.chain() is chain
+    assert [v for _, v in chain] == ["w", "v"]
+    assert chain[0][0] is g.composed_numerators()[0]
+    q = chain[1][0]
     assert q.degree("v") == 2 and q.degree("w") == 0
     for seed in range(3):
         sample_on_variety(g, seed)
-    assert g.toda_quadratic() is q
+    assert g.chain() is chain
 
 
 def _per_term_composition(p, substitutions):
