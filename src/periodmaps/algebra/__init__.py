@@ -6,8 +6,7 @@ from .poly import (MPoly, divides, exact_divide, normalize, parse_poly,
                    strip_var_monomials)
 from .ratfunc import RatFunc, compile_eval, compose_parts
 from .resultant import det_bareiss, resultant, sylvester_matrix
-from .roots import (coefficient_values, companion_roots, roots, roots_of_poly,
-                    roots_of_values, root_sort_key)
+from .roots import companion_roots, roots, roots_of_poly, root_sort_key
 
 __all__ = [
     "MPoly", "RatFunc",
@@ -15,7 +14,7 @@ __all__ = [
     "strip_var_monomials", "normalize",
     "cofactors", "poly_content", "poly_gcd", "pseudo_rem", "squarefree_part",
     "resultant", "sylvester_matrix", "det_bareiss",
-    "roots", "roots_of_poly", "roots_of_values", "coefficient_values",
+    "roots", "roots_of_poly",
     "companion_roots", "root_sort_key",
     "compile_eval", "compose_parts",
     "equal_up_to_scale",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 import numpy as np
@@ -11,13 +10,6 @@ from ..errors import RootFindingError
 from .poly import MPoly
 
 DEFAULT_TOL = 1e-9
-
-
-def _poly_value(coeffs: Sequence[complex], z: complex) -> complex:
-    acc = 0j
-    for c in coeffs:  # leading first
-        acc = acc * z + c
-    return acc
 
 
 def root_sort_key(z: complex):
@@ -43,69 +35,72 @@ def companion_roots(coeffs: Sequence[complex]) -> List[complex]:
     return found + [0j] * (len(p) - n)
 
 
+def _polish(coeffs: Sequence[complex], z: complex):
+    """(root, |p(root)|): Newton from z, taking the value and slope of
+    sum coeffs[k] z^(n-k) in one Horner pass.
+
+    It stops once a step is at rounding level, after at most 16 steps,
+    and keeps the iterate of least residual.  The rule is on the step,
+    not the residual: a variety's composed numerators carry coefficients
+    so large that a root can clear the residual bound several digits
+    short.
+    """
+    def value_slope(w):
+        p = dp = 0j
+        for c in coeffs:  # leading first
+            dp = dp * w + p
+            p = p * w + c
+        return p, dp
+
+    p, dp = value_slope(z)
+    best, best_res = z, abs(p)
+    for _ in range(16):
+        if dp == 0:
+            break
+        z2 = z - p / dp
+        p, dp = value_slope(z2)
+        if abs(p) < best_res:
+            best, best_res = z2, abs(p)
+        if abs(z2 - z) <= 1e-15 * (1 + abs(z2)):
+            break
+        z = z2
+    return best, best_res
+
+
 def roots(coeffs: Sequence[complex], tol: float = DEFAULT_TOL) -> List[complex]:
     """All complex roots (with multiplicity) of sum coeffs[k] z^(n-k).
 
-    Leading coefficient first.  Each returned r satisfies
-    |p(r)| <= tol * (1 + max|coeff|).  Deterministic for fixed input.
+    Leading coefficient first.  Each companion eigenvalue is polished by
+    Newton, and each returned r satisfies |p(r)| <= tol * (1 + max|coeff|).
+    Deterministic for fixed input.
     """
     coeffs = [complex(c) for c in coeffs]
     if len(coeffs) < 2:
         raise RootFindingError("degree must be at least 1")
     if abs(coeffs[0]) <= tol:
         raise RootFindingError("leading coefficient below tolerance")
-    scale = max(abs(c) for c in coeffs)
-    deriv = [c * (len(coeffs) - 1 - k) for k, c in enumerate(coeffs[:-1])]
-    polished = []
-    for z in companion_roots(coeffs):
-        for _ in range(8):
-            fz = _poly_value(coeffs, z)
-            if abs(fz) <= 1e-3 * tol * (1 + scale):
-                break
-            dz = _poly_value(deriv, z)
-            if abs(dz) == 0:
-                break
-            step = fz / dz
-            if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-                break
-            z2 = z - step
-            if abs(_poly_value(coeffs, z2)) < abs(fz):
-                z = z2
-            else:
-                break
-        polished.append(z)
-    bound = tol * (1 + scale)
-    residuals = [abs(_poly_value(coeffs, z)) for z in polished]
-    bad = [res for res in residuals if res > bound]
-    if bad:
+    polished = [_polish(coeffs, z) for z in companion_roots(coeffs)]
+    bound = tol * (1 + max(abs(c) for c in coeffs))
+    residuals = [res for _, res in polished]
+    if any(res > bound for res in residuals):
         raise RootFindingError(
             f"root residuals exceed bound {bound:g}", residuals=residuals)
-    return sorted(polished, key=root_sort_key)
-
-
-def coefficient_values(p: MPoly, var: str, point: dict) -> List[complex]:
-    """Values at point of p's coefficients in var, lowest degree first."""
-    slices = p.as_univariate(var)
-    # the slices share one variable tuple, so one conversion serves all
-    values = [complex(point.get(v, 0j)) for v in slices[0].vars]
-    return [c.eval_values(values) for c in slices]
-
-
-def roots_of_values(values: Sequence[complex], var: str,
-                    tol: float = DEFAULT_TOL) -> List[complex]:
-    """Roots of sum values[k] var^k once the (numerically) vanishing
-    leading coefficients are stripped."""
-    values = list(values)
-    while len(values) > 1 and abs(values[-1]) <= tol * (1 + max(abs(v) for v in values)):
-        values.pop()
-    if len(values) < 2:
-        raise RootFindingError("polynomial is (numerically) constant in " + var)
-    return roots(list(reversed(values)), tol=tol)
+    return sorted((z for z, _ in polished), key=root_sort_key)
 
 
 def roots_of_poly(p: MPoly, var: str, point: dict, tol: float = DEFAULT_TOL):
     """Roots in var of p after numeric substitution of the other variables.
 
-    point maps variable name -> complex value for every other used variable.
+    point maps variable name -> complex value for every other used
+    variable.  Leading coefficients that vanish numerically are stripped.
     """
-    return roots_of_values(coefficient_values(p, var, point), var, tol=tol)
+    slices = p.as_univariate(var)
+    # the slices share one variable tuple, so one conversion serves all
+    values = [complex(point.get(v, 0j)) for v in slices[0].vars]
+    coeffs = [c.eval_values(values) for c in slices]
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= tol * (
+            1 + max(abs(c) for c in coeffs)):
+        coeffs.pop()
+    if len(coeffs) < 2:
+        raise RootFindingError("polynomial is (numerically) constant in " + var)
+    return roots(coeffs[::-1], tol=tol)

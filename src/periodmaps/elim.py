@@ -25,11 +25,11 @@ from .catalog import (MAPS, apply_map, catalog_get, elimination_setups,
                       transition_params)
 from .data import FIXTURES
 from .errors import (EliminationError, InexactDivisionError,
-                     NotRecordedError, NothingToEliminateError, PoleError,
-                     SamplingError)
+                     NotRecordedError, NothingToEliminateError, SamplingError)
 from .varieties import gamma_get, sample_on_variety, triangular_chain
 
 TRANSITION_TOL = 1e-8
+TRANSITIONS = 12
 
 
 class OnVariety:
@@ -184,10 +184,10 @@ class Fixture:
             raise EliminationError("fixture polynomial is zero")
 
 
-def make_transitions(map_name: str, period: int, count: int = 12,
-                     params: dict = None,
-                     base_seed: int = 0) -> List[Transition]:
-    """True (x, X) transition samples on the (map, period) variety.
+def make_transitions(map_name: str, period: int,
+                     params: dict = None) -> List[Transition]:
+    """TRANSITIONS true (x, X) samples on the (map, period) variety, drawn
+    from seeds 0, 1, ...
 
     Keys are the map coordinates plus their upper-case images; for
     parameterized maps the parameter values ride along so fixtures with
@@ -196,24 +196,25 @@ def make_transitions(map_name: str, period: int, count: int = 12,
     m = catalog_get(map_name, params=params)
     g = gamma_get(map_name, period, m=m)
     out = []
-    seed = base_seed
-    while len(out) < count and seed < base_seed + 8 * count + 64:
+    seed = 0
+    while len(out) < TRANSITIONS and seed < 8 * TRANSITIONS + 64:
         try:
+            # the sampler returns only points the map steps
             p = sample_on_variety(g, seed)
-            q = apply_map(m, p)
-        except (SamplingError, PoleError):
+        except SamplingError:
             seed += 1
             continue
         seed += 1
+        q = apply_map(m, p)
         t = dict(zip(m.varnames, p))
         t.update({v.upper(): c for v, c in zip(m.varnames, q)})
         for k, val in m.params.items():
             if isinstance(val, (int, Fraction)):
                 t.setdefault(k, complex(Fraction(val)))
         out.append(t)
-    if len(out) < count:
-        raise EliminationError(
-            f"could not collect {count} transitions for ({map_name}, {period})")
+    if len(out) < TRANSITIONS:
+        raise EliminationError(f"could not collect {TRANSITIONS} transitions "
+                               f"for ({map_name}, {period})")
     return out
 
 

@@ -16,11 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import (MPoly, RatFunc, coefficient_values, compose_parts,
-                      exact_divide, parse_poly, pseudo_rem, root_sort_key,
-                      roots_of_poly, roots_of_values)
+from .algebra import (MPoly, RatFunc, compose_parts, exact_divide, parse_poly,
+                      pseudo_rem, roots_of_poly)
 from .biquad import GAMMAS, on_pencil
-from .catalog import MAPS, IntegrableMap, catalog_get
+from .catalog import MAPS, IntegrableMap, apply_map, catalog_get, rel_dist
 from .data import VARIETIES
 from .errors import (PoleError, RootFindingError, SamplingError,
                      UnknownVarietyError)
@@ -204,100 +203,55 @@ def draw_point(rng: random.Random, d: int):
             return p
 
 
-def _polish_root(coeffs, z: complex) -> complex:
-    """Newton refinement with a step-size stopping rule.
-
-    The residual rule inside the generic root finder is too loose here:
-    the composed numerators carry enormous coefficients, so a root that
-    clears the residual bound can still be several digits short.
-    coeffs are the dense univariate coefficients, lowest degree first.
-    """
-    def val_der(w):
-        p = dp = 0j
-        for c in reversed(coeffs):
-            dp = dp * w + p
-            p = p * w + c
-        return p, dp
-
-    p, dp = val_der(z)
-    best, best_res = z, abs(p)
-    for _ in range(16):
-        if dp == 0:
-            break
-        z2 = z - p / dp
-        p, dp = val_der(z2)
-        if abs(p) < best_res:
-            best, best_res = z2, abs(p)
-        if abs(z2 - z) <= 1e-15 * (1 + abs(z2)):
-            break
-        z = z2
-    return best
-
-
 def _first_member(g: VarietyGenerator, points):
-    """The first candidate on the variety with no coordinate below 1e-6."""
+    """The first candidate on the variety with no coordinate below 1e-6
+    that the map steps and does not fix."""
     for full in points:
         if any(abs(c) < 1e-6 for c in full):
             continue
         try:
             ok, _ = membership(g, full)
+            if ok and rel_dist(apply_map(g.owner, full), full) > MEMBER_TOL:
+                return full
         except PoleError:
             continue
-        if ok:
-            return full
     return None
 
 
-def _solve_last(g: VarietyGenerator, num: MPoly, drawn, last: str):
-    point = dict(zip(g.owner.varnames[:-1], drawn))
+def _completions(chain, point: dict):
+    """The points that complete point along the chain, walked from its
+    last entry to its first: each entry's roots in its coordinate, in
+    root order, each followed by the completions it leads to."""
+    if not chain:
+        yield tuple(point.values())
+        return
+    *rest, (poly, var) = chain
     try:
-        coeffs = coefficient_values(num, last, point)
-        cands = roots_of_values(coeffs, last, tol=1e-8)
+        found = roots_of_poly(poly, var, point, tol=1e-8)
     except (RootFindingError, ValueError):
-        return None
-    cands = sorted((_polish_root(coeffs, r) for r in cands), key=root_sort_key)
-    return _first_member(g, (drawn + (r,) for r in cands))
-
-
-def _solve_toda(g: VarietyGenerator, t2sub: MPoly, drawn):
-    point = dict(zip(("x", "y", "z", "u"), drawn))
-    try:
-        cands = roots_of_poly(t2sub, "v", point, tol=1e-8)
-    except (RootFindingError, ValueError):
-        return None
-    return _first_member(g, (drawn + (v, -(sum(drawn) + v))
-                             for v in sorted(cands, key=root_sort_key)))
+        return
+    for r in found:
+        yield from _completions(rest, {**point, var: r})
 
 
 def sample_on_variety(g: VarietyGenerator, seed: int):
     """Seeded point on the variety; deterministic in (generator, seed).
 
-    All but l coordinates are drawn from a rational grid in the complex
-    square [-3, 3] x [-3, 3]; the remaining ones solve gamma(H(x)) = 0.
-    A draw on the map's degenerate locus is drawn again.
+    The first d - l coordinates are drawn from a rational grid in the
+    complex square [-3, 3] x [-3, 3]; each entry of the triangular chain
+    then solves for one more.  A candidate the map cannot step or fixes
+    is passed over, and a draw on the map's degenerate locus, or with no
+    candidate left, is drawn again.
     """
-    if g.l > 2:
-        raise SamplingError("sampling supports at most two generators")
     rng = random.Random(f"variety:{g.map_name}:{g.period}:{seed}")
     names = g.owner.varnames
-
-    if g.map_name == "toda3":
-        # t1 = 0 fixes w linearly; t2 = 0 is then quadratic in v
-        t2sub = g.chain()[1][0]
-        solve = lambda drawn: _solve_toda(g, t2sub, drawn)
-    else:
-        if g.l != 1:
-            raise SamplingError(f"no sequential solve path for {g.map_name} "
-                                f"with {g.l} generators")
-        (num, last), = g.chain()
-        solve = lambda drawn: _solve_last(g, num, drawn, last)
+    chain = g.chain()
     locus = MAPS[g.map_name].degenerate
     for _ in range(32):
-        # one coordinate per generator is solved for, the others drawn
         drawn = tuple(_draw_coord(rng) for _ in range(len(names) - g.l))
         if locus is not None and locus.contains(drawn):
             continue
-        got = solve(drawn)
+        got = _first_member(g, _completions(chain, dict(zip(names, drawn))))
         if got is not None:
             return got
     raise SamplingError(

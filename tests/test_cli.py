@@ -311,8 +311,8 @@ def test_eliminate_neither_samples_nor_finds_roots(capsys, monkeypatch,
     for module, name in [(elim, "make_transitions"),
                          (elim, "sample_on_variety"),
                          (varieties, "sample_on_variety"),
-                         (varieties, "roots_of_values"),
-                         (roots, "roots_of_values")]:
+                         (varieties, "roots_of_poly"),
+                         (roots, "roots")]:
         monkeypatch.setattr(module, name, refuse)
     code, out, _ = _run(capsys, "eliminate", *argv)
     assert code == EXIT_OK
@@ -343,7 +343,7 @@ def test_a_reducible_qrt_pencil_is_rejected(capsys):
 # the rest dumped as the CLI dumps it: any float that moves shows up here
 REPORT_SHA256 = [
     (["verify", "--map", "toda3", "--period", "3", "--seeds", "5"],
-     "32a8c22e39b0a2b1e588cd316c6b4a3cec30f4fe41e9ceb72eb9523b8d6e253a"),
+     "8aca5538d37f9fa22f8c5b2b98a1dc5a040ab2559513d6f08c40a9c717fb38b4"),
     (["verify", "--map", "qrt", "--period", "5", "--qp", "1,2,0,3,1,2",
       "--qpp", "0,1,1,0,2,1", "--seeds", "5"],
      "f2cce46cca9248f0101da9e64932aa592f898bc1995b4c570d87a269509e2526"),

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodmaps.algebra import (MPoly, RatFunc, coefficient_values,
-                                compile_eval, roots_of_values)
+from periodmaps.algebra import MPoly, RatFunc, compile_eval, roots_of_poly
 from periodmaps.catalog import MAP_NAMES, catalog_get
 from periodmaps.errors import PoleError, RootFindingError
 
@@ -108,7 +107,7 @@ def _on_zero_set(den: MPoly, point):
     last = den.vars[max(den.vars.index(v) for v in used)]
     at = dict(zip(den.vars, point))
     try:
-        root = roots_of_values(coefficient_values(den, last, at), last)[0]
+        root = roots_of_poly(den, last, at)[0]
     except RootFindingError:
         return None
     return [root if v == last else c for v, c in zip(den.vars, point)]

@@ -11,8 +11,9 @@ from periodmaps import elim
 from periodmaps.elim import (
     EliminationProblem, OnVariety, check_fixture, derive, eliminate,
     fixtures_for, make_transitions)
-from periodmaps.catalog import MAPS
+from periodmaps.catalog import MAPS, apply_map, catalog_get
 from periodmaps.errors import EliminationError
+from periodmaps.varieties import gamma_get, sample_on_variety
 
 X, x, y = (MPoly.var(v) for v in ("X", "x", "y"))
 # the line y = 5 with the image X = y
@@ -66,9 +67,15 @@ def test_worked_example_derivation():
 
 
 def test_derivation_soundness_on_fresh_transitions():
-    # the exactly certified polynomials vanish on sampled transitions
+    # the exactly certified polynomials vanish on 24 sampled transitions
     out = derive("lv3", 3)
-    fresh = make_transitions("lv3", 3, count=24, base_seed=500)
+    m = catalog_get("lv3")
+    g = gamma_get("lv3", 3, m=m)
+    fresh = []
+    for seed in range(500, 524):
+        p = sample_on_variety(g, seed)
+        fresh.append(dict(zip(("x", "y", "z", "X", "Y", "Z"),
+                              p + apply_map(m, p))))
     for r in out:
         scale = 1 + float(r.max_abs_coeff())
         for t in fresh:
@@ -148,8 +155,8 @@ def test_check_fixture_flags_a_wrong_polynomial():
 
 
 def test_transitions_carry_images_and_parameters():
-    ts = make_transitions("moebius2d", 3, count=8,
-                          params={"a": 2, "b": "1/3"})
+    ts = make_transitions("moebius2d", 3, params={"a": 2, "b": "1/3"})
+    assert len(ts) == elim.TRANSITIONS
     for t in ts:
         assert {"x", "y", "X", "Y", "a", "b"} <= set(t)
         assert t["a"] == 2 + 0j

@@ -1,5 +1,6 @@
 """Variety catalog: lookup, membership, sampling, recorded spot values."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,13 +8,13 @@ import pytest
 
 from exact_values import exact_value
 from periodmaps.algebra import MPoly, compose_parts, divides, parse_poly
-from periodmaps.catalog import catalog_get
+from periodmaps.catalog import apply_map, catalog_get, rel_dist
 from periodmaps.data import VARIETIES
 from periodmaps.errors import UnknownVarietyError
 from periodmaps.orbit import verify_period
 from periodmaps.varieties import (
-    _draw_coord, available_periods, checksum_cases, gamma_get, membership,
-    sample_on_variety)
+    MEMBER_TOL, _draw_coord, available_periods, checksum_cases, gamma_get,
+    membership, sample_on_variety)
 
 
 def test_available_periods_inventory():
@@ -145,9 +146,9 @@ def test_membership_uses_invariant_values():
 
 
 # float.hex of each coordinate's (real, imag): no change to evaluation may
-# move a single bit of a sampled point.  toda3's are as the term-by-term
-# evaluator over Fraction coefficients produced them; lv3 p5's were taken
-# again when its generator lost the degenerate factor s^2
+# move a single bit of a sampled point.  lv3 p5's were taken again when its
+# generator lost the degenerate factor s^2, and toda3's when w came to be
+# solved from t1 and polished like every other root
 SAMPLED_HEX = {
     ("lv3", 5, 0): [
         ("-0x1.7000000000000p+1", "0x1.0000000000000p+0"),
@@ -158,16 +159,84 @@ SAMPLED_HEX = {
         ("0x1.5000000000000p+1", "-0x1.4000000000000p+1"),
         ("-0x1.c000000000000p+0", "0x1.4000000000000p+0"),
         ("-0x1.3000000000000p+1", "0x0.0p+0"),
-        ("-0x1.92b980e312f5cp+0", "0x1.93432beb067e7p+1"),
-        ("0x1.54ae6038c4bd7p+2", "-0x1.d3432beb067e7p+1")],
+        ("-0x1.92b980e312f5dp+0", "0x1.93432beb067e6p+1"),
+        ("0x1.54ae6038c4bd7p+2", "-0x1.d3432beb067e6p+1")],
+}
+
+# the same pin over seeds 0-49 at the parameters below: the sha256 of
+# "re,im;" per coordinate, as float.hex
+SAMPLED_PARAMS = {
+    "euler": {"alpha": Fraction(1, 3), "beta": Fraction(1, 5),
+              "gamma": Fraction(-2, 7)},
+    "moebius2d": {"a": 2, "b": Fraction(1, 3)},
+    "qrt": {"qp": (1, 2, 0, 3, 1, 2), "qpp": (0, 1, 1, 0, 2, 1)},
+}
+SAMPLED_SHA256 = {
+    ("lv3", 2, "0-49"):
+        "7ccf1150cbc373ac4e3ab185272a74c28f10bb895a482e3d2c57f5c290a47bd8",
+    ("lv3", 3, "0-49"):
+        "bf16d772f34a5e5d8aace474055c9d4438aa9c38a6f4a33b1e154bbad982494d",
+    ("lv3", 4, "0-49"):
+        "b65e87adb77d4939610190531985d3ffe218f0b83796820dc91219adc6b8c70c",
+    ("lv3", 5, "0-49"):
+        "65b8cb73163d752bcf2407863e24005166287018a4a8748b4bb7985dc43e1b1a",
+    ("lv4", 2, "0-49"):
+        "a7316c5ecfb04cdb7ccab16037f2e81fa62540371afd3a3403c0fd461ea2199c",
+    ("euler", 3, "0-49"):
+        "bbc732b7c80865cf434fd53fa0a6c8aff2616b7f417802895d1b6d588463082e",
+    ("moebius2d", 2, "0-49"):
+        "788f6beb98b6ba84b267a12fffca19f89e4e7f149f793cb0e67f6b1418badb58",
+    ("moebius2d", 3, "0-49"):
+        "b57d33d44d1e3a888faede47e262f400a3aea7ddc22f4b5b8932a8fcfcd9b11c",
+    ("moebius2d", 4, "0-49"):
+        "d3bb6009f5de61989143c37da7240b06ef7e04be58fc3bbb86643931cfc24a87",
+    ("moebius2d", 5, "0-49"):
+        "70a87a9fa3e43022c8442ed903b5451c302cb2a93eafe8e26bd4d001fb62a114",
+    ("moebius2d", 6, "0-49"):
+        "ddac303feaed32fe71e341fd2727a299a27389e83ad9b20551cb2a7eb654b43d",
+    ("qrt", 3, "0-49"):
+        "8d80995d4a66010e42414cee9553fe78da51c5738effefe045a78d8fc9ecf60e",
+    ("qrt", 4, "0-49"):
+        "ed693c7f34794b7cbdba1608455c0d6a3b96fd54b458d5e4203a93eed1ae73d5",
 }
 
 
-@pytest.mark.parametrize("name,period,seed", sorted(SAMPLED_HEX))
-def test_sampled_points_are_bit_identical(name, period, seed):
-    p = sample_on_variety(gamma_get(name, period), seed)
-    got = [(c.real.hex(), c.imag.hex()) for c in p]
-    assert got == SAMPLED_HEX[(name, period, seed)]
+def _sampled_hex(g, seed):
+    return [(c.real.hex(), c.imag.hex()) for c in sample_on_variety(g, seed)]
+
+
+@pytest.mark.parametrize("name,period,seeds",
+                         sorted(SAMPLED_HEX) + sorted(SAMPLED_SHA256))
+def test_sampled_points_are_bit_identical(name, period, seeds):
+    m = catalog_get(name, params=SAMPLED_PARAMS.get(name))
+    g = gamma_get(name, period, m=m)
+    if isinstance(seeds, int):
+        assert _sampled_hex(g, seeds) == SAMPLED_HEX[(name, period, seeds)]
+        return
+    first, last = map(int, seeds.split("-"))
+    text = "".join(f"{re},{im};" for seed in range(first, last + 1)
+                   for re, im in _sampled_hex(g, seed))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == SAMPLED_SHA256[(name, period, seeds)]
+
+
+def test_toda3_points_satisfy_t1():
+    # w is solved from t1 = x + y + z + u + v + w = 0 and polished
+    g = gamma_get("toda3", 3)
+    for seed in range(20):
+        p = sample_on_variety(g, seed)
+        assert abs(sum(p)) <= 1e-12 * (1 + sum(abs(c) for c in p)), seed
+
+
+def test_the_sampler_redraws_a_fixed_point():
+    # at (a, b) = (1, 2), gamma_2 = h + 1 gives y = -1/(1 + 2x), and seed
+    # 61's first draw x = (-1 + i)/2 makes (x, y) a fixed point
+    m = catalog_get("moebius2d", a=1, b=2)
+    rng = random.Random("variety:moebius2d:2:61")
+    assert _draw_coord(rng) == complex(-0.5, 0.5)
+    p = sample_on_variety(gamma_get("moebius2d", 2, m=m), 61)
+    assert rel_dist(apply_map(m, p), p) > MEMBER_TOL
+    assert verify_period(m, p, 2).passed(1e-9)
 
 
 def test_the_chain_is_built_once_per_generator():
