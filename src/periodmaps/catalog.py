@@ -84,6 +84,9 @@ def _vars(names):
 # the IntegrableMap; catalog_get checks the invariants afterwards.
 
 def _build_lyness2(name, params):
+    if params["a"] == 0:
+        raise DegenerateParameterError(
+            "lyness2 with a = 0 collapses to a constant map")
     x, = _vars("x")
     comp = _rf(MPoly.const(params["a"]), x, vars=("x",))
     return IntegrableMap(name, ("x",), params, (comp,))

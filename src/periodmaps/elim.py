@@ -28,7 +28,7 @@ from .errors import (EliminationError, InexactDivisionError,
                      NotRecordedError, NothingToEliminateError, SamplingError)
 from .varieties import gamma_get, sample_on_variety, triangular_chain
 
-TRANSITION_TOL = 1e-8
+TRANSITION_TOL = 1e-9
 TRANSITIONS = 12
 
 
@@ -289,59 +289,48 @@ def fixtures_for(map_name: str, period: int) -> List[Fixture]:
     return out
 
 
-def default_transitions(map_name: str, period: int,
-                        params: dict = None) -> List[Transition]:
-    """Transitions at the parameter values `transition_params` gives."""
-    owner, at = transition_params(map_name, params)
-    return make_transitions(owner, period, params=at)
-
-
 def _fixture_residual(fix: Fixture, t: Transition) -> float:
     if "q" in fix.F.vars and "q" not in t:
         al, be, ga = (t[k] for k in ("alpha", "beta", "gamma"))
         x, y = t["x"], t["y"]
         q = cmath.sqrt((1 - al * ga * y * y) * (1 - be * ga * x * x))
-        best = None
-        for sq in (q, -q):
-            tt = dict(t)
-            tt["q"] = sq
-            r = abs(_eval_at(fix.F, tt))
-            best = r if best is None else min(best, r)
-        return best
+        return min(abs(_eval_at(fix.F, {**t, "q": sq})) for sq in (q, -q))
     return abs(_eval_at(fix.F, t))
 
 
-def check_fixture(fixes: Sequence[Fixture],
-                  tol: float = TRANSITION_TOL) -> List[dict]:
-    """Behavioral + (where the engine covers it) symbolic verdicts of the
-    fixtures of one (map, period), in order.
+def check_fixture(fixes: Sequence[Fixture]) -> List[dict]:
+    """Symbolic and behavioral verdicts of the fixtures of one (map,
+    period), in order; a verdict passes when both hold.
 
-    Behavioral: the recorded polynomial vanishes on true on-variety
-    transitions of the owning map.  Symbolic: the standard elimination,
-    run once for all of them, reproduces it up to scale; null where the
-    registry records no elimination.  A behavioral failure is flagged as
-    a suspected transcription or source typo, never silently repaired.
+    Symbolic: the standard elimination, run once for all of them,
+    reproduces the fixture up to scale; null where the registry records
+    no elimination.  Behavioral: the fixture vanishes on the variety,
+    which a reproduced fixture does by its certificate (`OnVariety`).
+    The others are evaluated on true transitions of the owning map, and
+    a failure is flagged as a suspected transcription or source typo,
+    never silently repaired.
     """
     map_name, period = fixes[0].map_name, fixes[0].period
-    transitions = default_transitions(map_name, period)
     try:
         derived = derive(map_name, period)
     except NotRecordedError:
         derived = []
+    symbolic = [any(equal_up_to_scale(r, fix.F) for r in derived)
+                if derived else None for fix in fixes]
+    if not all(symbolic):
+        owner, at = transition_params(map_name)
+        transitions = make_transitions(owner, period, params=at)
     verdicts = []
-    for fix in fixes:
-        scale = 1 + float(fix.F.max_abs_coeff())
-        worst = max(_fixture_residual(fix, t) for t in transitions)
-        behavioral = worst <= tol * scale
-        symbolic = (any(equal_up_to_scale(r, fix.F) for r in derived)
-                    if derived else None)
-        verdict = {
-            "map": fix.map_name, "period": fix.period, "index": fix.index,
-            "behavioral": behavioral, "max_residual": worst,
-            "symbolic": symbolic,
-        }
-        if not behavioral:
-            verdict["note"] = ("fixture does not vanish on true transitions; "
-                               "suspected transcription or source typo")
+    for fix, sym in zip(fixes, symbolic):
+        verdict = {"map": fix.map_name, "period": fix.period,
+                   "index": fix.index, "behavioral": True, "symbolic": sym}
+        if not sym:
+            worst = max(_fixture_residual(fix, t) for t in transitions)
+            verdict["max_residual"] = worst
+            if worst > TRANSITION_TOL * (1 + float(fix.F.max_abs_coeff())):
+                verdict.update(behavioral=False, note=(
+                    "fixture does not vanish on true transitions; "
+                    "suspected transcription or source typo"))
+        verdict["pass"] = verdict["behavioral"] and sym is not False
         verdicts.append(verdict)
     return verdicts

@@ -12,6 +12,7 @@ import pytest
 import periodmaps
 from periodmaps import cli
 from periodmaps.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from periodmaps.data import FIXTURES
 
 
 def _run(capsys, *argv):
@@ -55,6 +56,18 @@ def test_verify_off_variety_finds_no_returns(capsys):
     rep = json.loads(out)
     for v in rep["verdicts"]:
         assert v["pass"] and v["returns"] == []
+
+
+def test_an_off_variety_run_that_scans_no_draw_fails(capsys):
+    # at this tol every draw counts as lying on a variety and is skipped
+    code, out, _ = _run(capsys, "verify", "--map", "lv3", "--off-variety",
+                        "--seeds", "2", "--tol", "1e300")
+    assert code == EXIT_FAIL
+    rep = json.loads(out)
+    assert rep["verdicts"] == [{
+        "pass": False,
+        "error": "all 2 draws lay on a variety; none was scanned"}]
+    assert rep["residual_summary"] == {"count": 1, "passed": 0}
 
 
 def test_reports_are_deterministic_up_to_wall_time(capsys):
@@ -242,6 +255,8 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
       "4"], "unrecognized arguments: --seeds 3 --seed 4"),
     (["eliminate", "--map", "lv4", "--period", "2", "--tol", "1e-7"],
      "unrecognized arguments: --tol 1e-7"),
+    (["fixtures", "--map", "lv3", "--period", "2", "--tol", "1e-7"],
+     "unrecognized arguments: --tol 1e-7"),
     (["list", "--out", "/no/such/dir/x.json"], "/no/such/dir/x.json"),
     (["list", "--out", "."], "--out .: is a directory"),
     (["orbit", "--map", "lv3", "--init", "1e400,1,2", "--steps", "2"],
@@ -256,7 +271,7 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
         "eliminate-example-period",
         "eliminate-moebius2d-period", "fixtures-unrecorded-period",
         "orbit-init-length", "verify-csv", "list-csv", "fixtures-parameters",
-        "fixtures-seeds", "eliminate-seeds", "eliminate-tol",
+        "fixtures-seeds", "eliminate-seeds", "eliminate-tol", "fixtures-tol",
         "out-missing-directory",
         "out-directory", "orbit-init-overflow", "parameter-overflow"])
 def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
@@ -324,6 +339,17 @@ def test_eliminate_rejects_a_collapsing_moebius_member(capsys):
     for command in ("eliminate", "verify"):
         code, out, err = _run(capsys, command, "--map", "moebius2d",
                               "--period", "3", "--a", "2", "--b", "1/2")
+        assert code == EXIT_FAIL
+        assert "collapses to a constant map" in err
+        assert out == ""
+
+
+def test_lyness2_rejects_a_constant_member(capsys):
+    # a = 0 makes x -> a/x the constant map x -> 0, which no period or
+    # off-variety verdict can speak about
+    for flags in (["--period", "2"], ["--off-variety"]):
+        code, out, err = _run(capsys, "verify", "--map", "lyness2",
+                              "--a", "0", *flags)
         assert code == EXIT_FAIL
         assert "collapses to a constant map" in err
         assert out == ""
@@ -404,7 +430,41 @@ def test_fixtures_derives_once_per_map_and_period(capsys, monkeypatch):
     code, out, _ = _run(capsys, "fixtures", "--map", "toda3", "--period", "3")
     assert code == EXIT_OK
     assert len(json.loads(out)["verdicts"]) == 4
-    assert calls == {"derive": 1, "make_transitions": 1}
+    # every toda3 fixture is reproduced, so none is sampled
+    assert calls == {"derive": 1, "make_transitions": 0}
+
+
+@pytest.mark.parametrize("name, period", [
+    (name, period) for name, periods in FIXTURES.items()
+    for period in periods])
+def test_fixtures_samples_only_what_no_derivation_reproduces(
+        capsys, monkeypatch, name, period):
+    """A reproduced fixture is certified by its derivation: only euler's,
+    whose F carries the square root q, are evaluated on transitions, and
+    those are sampled once."""
+    from periodmaps import elim, varieties
+    calls = []
+    sample = elim.make_transitions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"fixtures sampled for {name} {period}")
+    if name == "euler":
+        monkeypatch.setattr(elim, "make_transitions", counted)
+    else:
+        for module, attr in [(elim, "make_transitions"),
+                             (elim, "sample_on_variety"),
+                             (varieties, "sample_on_variety")]:
+            monkeypatch.setattr(module, attr, refuse)
+    code, out, _ = _run(capsys, "fixtures", "--map", name, "--period", period)
+    assert code == EXIT_OK
+    verdicts = json.loads(out)["verdicts"]
+    assert all(v["pass"] for v in verdicts)
+    assert all(("max_residual" in v) == (name == "euler") for v in verdicts)
+    assert len(calls) == (1 if name == "euler" else 0)
 
 
 # sha256 of the F strings of `eliminate --map lv3 --period 4`, joined by

@@ -133,16 +133,19 @@ def test_exact_decisions_divide_out_only_toda3s_leading_coefficients(
 
 
 def test_check_fixture_verdicts():
+    # a reproduced fixture is proved by its certified derivation: it
+    # passes with no sampled residual
     fix = fixtures_for("lv3", 2)[0]
     v, = check_fixture([fix])
-    assert v["behavioral"] and v["symbolic"]
-    assert v["max_residual"] <= 1e-8 * (1 + float(fix.F.max_abs_coeff()))
+    assert v["behavioral"] and v["symbolic"] and v["pass"]
+    assert "max_residual" not in v and "note" not in v
 
 
 def test_check_fixture_square_root_entries_are_behavioral_only():
     for v in check_fixture(fixtures_for("euler", 3)):
-        assert v["behavioral"]
+        assert v["behavioral"] and v["pass"]
         assert v["symbolic"] is None
+        assert "max_residual" in v
 
 
 def test_check_fixture_flags_a_wrong_polynomial():
@@ -151,7 +154,10 @@ def test_check_fixture_flags_a_wrong_polynomial():
                     parse_poly("(x-1)*X + x + 1", ("x", "X")))
     v, = check_fixture([bogus])
     assert not v["behavioral"]
-    assert "note" in v
+    assert v["symbolic"] is False and not v["pass"]
+    scale = 1 + float(bogus.F.max_abs_coeff())
+    assert v["max_residual"] > elim.TRANSITION_TOL * scale
+    assert "suspected transcription or source typo" in v["note"]
 
 
 def test_transitions_carry_images_and_parameters():

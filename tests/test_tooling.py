@@ -7,10 +7,11 @@ import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import periodmaps
-from periodmaps.catalog import MAPS
+from periodmaps.catalog import MAPS, transition_params
 from periodmaps.data import FIXTURES
 from periodmaps.varieties import available_periods
 from test_cli import _readme_commands
@@ -312,16 +313,35 @@ def test_every_function_is_reached_from_the_command_line():
                        + "\n".join(stale))
 
 
+def _perfbench_module(name):
+    """A perfbench module, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_benchmark_name_resolves():
     """perfbench/tracing.py wraps its LAYERS by name; a renamed or deleted
     function would break only the traced benchmark run."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", REPO / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     assert tracing.LAYERS
     for module, attr, _ in tracing.LAYERS:
         owner = importlib.import_module(module)
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_the_derive_catalog_matches_the_registry():
+    """perfbench's derive set-up builds each fixture map at the parameters
+    DERIVE_CATALOG copies; they must be the ones `transition_params` gives,
+    or set-up builds a map no request uses."""
+    catalog = _perfbench_module("workloads").DERIVE_CATALOG
+    for name in FIXTURES:
+        owner, params = catalog.get(name, (name, {}))
+        want_owner, want = transition_params(name)
+        assert owner == want_owner, name
+        assert {k: Fraction(v) for k, v in params.items()} == (want or {}), \
+            name
