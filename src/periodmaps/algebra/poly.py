@@ -12,8 +12,8 @@ floating arithmetic only appears at evaluation boundaries.
 
 from __future__ import annotations
 
+import ast
 import math
-import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
@@ -484,109 +484,75 @@ def _horner(node, values):
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character at {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
+_SIGNS = {ast.Add: 1, ast.Sub: -1}
 
 
 def parse_poly(text: str, variables: Sequence[str] = None) -> MPoly:
-    """Parse the textual polynomial syntax (exact round-trip with str())."""
-    tokens = _tokenize(text)
-    pos = [0]
+    """Parse polynomial text; every text str() prints round-trips.
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else (None, None)
+    With whitespace collapsed and ``^`` read as ``**``, the text must be a
+    Python expression built only from variable names, integer literals,
+    unary ``+`` and ``-``, binary ``+``, ``-`` and ``*``, ``**`` to an
+    integer literal and ``/`` by a nonzero integer literal.  The variables
+    are the declared tuple, else the names in order of first appearance;
+    every name and literal is built in them.  Python's parser bounds the
+    length: a flat sum of more than about 2,500 terms, or more than 200
+    nested parentheses, is a ParseError, as is any text outside the grammar.
+    """
+    source = " ".join(text.split()).replace("^", "**")
 
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
+    def literal(node, what) -> int:
+        if isinstance(node, ast.Constant) and node.value.__class__ is int:
+            return node.value
+        raise ParseError(f"{what} is not an integer literal in {text!r}")
 
-    def parse_expr():
-        kind, val = peek()
-        neg = False
-        while kind == "op" and val in "+-":
-            take()
-            if val == "-":
-                neg = not neg
-            kind, val = peek()
-        node = parse_term()
-        if neg:
-            node = -node
-        while True:
-            kind, val = peek()
-            if kind == "op" and val in "+-":
-                take()
-                rhs = parse_term()
-                node = node - rhs if val == "-" else node + rhs
-            else:
-                return node
+    def build(node) -> MPoly:
+        match node:
+            case ast.BinOp(op=ast.Add() | ast.Sub()):
+                # a sum's left spine is walked in a loop, into one dict
+                signed = []
+                while (isinstance(node, ast.BinOp)
+                       and node.op.__class__ in _SIGNS):
+                    signed.append((node.right, _SIGNS[node.op.__class__]))
+                    node = node.left
+                signed.append((node, 1))
+                return sum_of_products(
+                    ((build(t), sign) for t, sign in reversed(signed)), vs)
+            case ast.BinOp(op=ast.Mult()):
+                return build(node.left) * build(node.right)
+            case ast.BinOp(op=ast.Pow()):
+                return build(node.left) ** literal(node.right, "exponent")
+            case ast.BinOp(op=ast.Div()):
+                d = literal(node.right, "divisor")
+                if not d:
+                    raise ParseError(f"division by zero in {text!r}")
+                return build(node.left) * Fraction(1, d)
+            case ast.UnaryOp(op=ast.UAdd()):
+                return build(node.operand)
+            case ast.UnaryOp(op=ast.USub()):
+                return -build(node.operand)
+            case ast.Name(id=name):
+                if name not in vs:
+                    raise ParseError(f"undeclared variable {name!r}")
+                return MPoly.var(name, vs)
+            case ast.Constant(value=c) if c.__class__ is int:
+                return MPoly.const(c, vs)
+        raise ParseError(f"not a polynomial term: "
+                         f"{ast.get_source_segment(source, node)!r}")
 
-    def parse_term():
-        node = parse_factor()
-        while True:
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                take()
-                node = node * parse_factor()
-            else:
-                return node
-
-    def parse_factor():
-        base = parse_atom()
-        kind, val = peek()
-        if kind == "op" and val == "^":
-            take()
-            kind, val = take()
-            if kind != "num" or "/" in val:
-                raise ParseError("exponent must be a non-negative integer")
-            return base ** int(val)
-        return base
-
-    def parse_atom():
-        kind, val = take()
-        if kind == "num":
-            return MPoly.const(Fraction(val))
-        if kind == "name":
-            if variables is not None and val not in variables:
-                raise ParseError(f"undeclared variable {val!r}")
-            return MPoly.var(val)
-        if kind == "op" and val == "(":
-            node = parse_expr()
-            kind, val = take()
-            if (kind, val) != ("op", ")"):
-                raise ParseError("missing closing parenthesis")
-            return node
-        if kind == "op" and val == "-":
-            return -parse_atom()
-        raise ParseError(f"unexpected token {val!r}")
-
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    result = parse_expr()
-    if pos[0] != len(tokens):
-        raise ParseError(f"trailing tokens near {tokens[pos[0]]!r}")
-    if variables is not None:
-        result = result.with_vars(variables)
-    return result
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except (SyntaxError, RecursionError, ValueError) as exc:
+        raise ParseError(f"not a polynomial: {text!r} ({exc})") from None
+    if variables is None:
+        names = sorted((n for n in ast.walk(tree) if isinstance(n, ast.Name)),
+                       key=lambda n: n.col_offset)
+        variables = dict.fromkeys(n.id for n in names)
+    vs = tuple(variables)
+    try:
+        return build(tree)
+    except RecursionError:
+        raise ParseError(f"nested too deeply: {text!r}") from None
 
 
 def sum_of_products(pairs, variables: tuple) -> MPoly:

@@ -25,10 +25,11 @@ class OrbitReport:
     fixed_point: bool
 
     def passed(self, tol: float) -> bool:
-        """The period verdict: the orbit returns and conserves the
-        invariants within tol, and its start is not a fixed point."""
-        return (self.return_error <= tol and self.drift <= tol
-                and not self.fixed_point)
+        """The period verdict: the orbit is a primitive n-cycle (it returns
+        within tol after n steps and after no proper divisor of n, so its
+        start is not a fixed point) and conserves the invariants within
+        tol."""
+        return self.primitive and self.drift <= tol
 
 
 def iterate(m: IntegrableMap, p0: Sequence[complex], n: int) -> List[Point]:
@@ -83,17 +84,13 @@ def exclusivity_scan(m: IntegrableMap, p0: Sequence[complex], n_max: int,
     """
     start = tuple(complex(c) for c in p0)
     for attempt in range(6):
-        flags = []
-        cur = start
         try:
-            cur = apply_map(m, cur)
-            for n in range(2, n_max + 1):
-                cur = apply_map(m, cur)
-                flags.append(rel_dist(cur, start) <= tol)
-            return flags
+            pts = iterate(m, start, n_max)
         except PoleError:
             eps = 1e-5 * (attempt + 1)
             start = tuple(c * (1 + eps) + eps for c in start)
+            continue
+        return [rel_dist(p, start) <= tol for p in pts[2:]]
     raise PoleError(
         f"scan kept hitting poles after 6 perturbed restarts from {p0}")
 

@@ -133,13 +133,9 @@ def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
     if "pencil" in entry:
         # generators live on the parameter pencil q' + h q''
         gammas = (on_pencil(GAMMAS[period], m.params["qp"], m.params["qpp"]),)
-    elif "parameters" in entry:
-        pvals = {k: m.params[k] for k in entry["parameters"]}
-        gammas = tuple(_subs_params(t, symbols, pvals).with_vars(symbols)
-                       for t in texts)
     else:
-        gammas = tuple(parse_poly(t, symbols).with_vars(symbols)
-                       for t in texts)
+        pvals = {k: m.params[k] for k in entry.get("parameters", ())}
+        gammas = tuple(_subs_params(t, symbols, pvals) for t in texts)
     locus = MAPS[m.name].degenerate
     if locus is not None:
         gammas = tuple(_without_powers_of(g, locus.invariant) for g in gammas)
@@ -155,23 +151,18 @@ def _generator(m: IntegrableMap, period: int) -> VarietyGenerator:
 def _without_powers_of(gamma: MPoly, symbol: str) -> MPoly:
     """gamma divided by the largest power of the symbol dividing it."""
     k = min(exps[gamma.vars.index(symbol)] for exps in gamma.terms)
-    return exact_divide(gamma, MPoly.var(symbol) ** k).with_vars(gamma.vars)
+    return exact_divide(gamma, MPoly.var(symbol, gamma.vars) ** k)
 
 
 def membership(g: VarietyGenerator, p: Sequence[complex],
                tol: float = MEMBER_TOL):
     """(verdict, residuals): does p lie on the variety within tol?"""
     point = [complex(c) for c in p]
-    if g.in_coordinates:
-        values = point
-        order = g.owner.varnames
-    else:
-        values = g.owner.invariant_values(point)
-        order = g.owner.invariant_names
+    values = point if g.in_coordinates else g.owner.invariant_values(point)
     residuals = []
     ok = True
     for gamma, scale in zip(g.gammas, g.member_scales()):
-        val = gamma.with_vars(order).eval(values)
+        val = gamma.eval(values)
         residuals.append(abs(val))
         if abs(val) > tol * scale:
             ok = False

@@ -49,6 +49,19 @@ def test_verify_lyness_needs_no_variety(capsys):
     assert json.loads(out)["residual_summary"]["passed"] == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["--map", "lyness5", "--period", "10", "--seeds", "2"],
+    ["--map", "lyness2", "--period", "4", "--a", "7", "--seeds", "1"],
+], ids=["lyness5-10", "lyness2-4"])
+def test_verify_fails_an_orbit_that_is_not_a_primitive_cycle(capsys, argv):
+    # lyness5 has period 5 and lyness2 period 2: the orbits return after
+    # 10 and 4 steps, but they are not primitive 10- and 4-cycles
+    code, out, _ = _run(capsys, "verify", *argv)
+    assert code == EXIT_FAIL
+    for v in json.loads(out)["verdicts"]:
+        assert v["residual"] <= 1e-9 and not v["primitive"] and not v["pass"]
+
+
 def test_verify_off_variety_finds_no_returns(capsys):
     code, out, _ = _run(capsys, "verify", "--map", "lv3", "--off-variety",
                         "--seeds", "5", "--tol", "1e-7")
@@ -263,6 +276,7 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
      "too large for a float: '1e400'"),
     (["verify", "--map", "lyness2", "--period", "2", "--a", "1e400"],
      "too large for a float: '1e400'"),
+    (["sample", "--map", "lv3", "--period", "1"], "--period"),
 ], ids=["verify-without-period", "off-variety-with-period", "negative-seeds",
         "zero-seeds", "negative-tol", "zero-tol", "nan-tol", "infinite-tol",
         "negative-steps", "foreign-parameter", "eliminate-foreign-parameter",
@@ -273,7 +287,8 @@ def test_map_flags_reach_the_descriptor(capsys, name, period, flags, params):
         "orbit-init-length", "verify-csv", "list-csv", "fixtures-parameters",
         "fixtures-seeds", "eliminate-seeds", "eliminate-tol", "fixtures-tol",
         "out-missing-directory",
-        "out-directory", "orbit-init-overflow", "parameter-overflow"])
+        "out-directory", "orbit-init-overflow", "parameter-overflow",
+        "period-one"])
 def test_bad_input_is_a_usage_error_with_a_message(capsys, argv, message):
     try:
         code = main(argv)

@@ -13,6 +13,9 @@ from sympy.polys.rings import ring
 from exact_values import exact_value
 from periodmaps.algebra import MPoly, divides, exact_divide, parse_poly, poly
 from periodmaps.algebra.poly import divide_terms, grlex_key
+from periodmaps.biquad import PARAM_NAMES
+from periodmaps.data import FIXTURES, VARIETIES
+from periodmaps.elim import derive
 from periodmaps.errors import ArityError, InexactDivisionError, ParseError
 
 VARS = ("x", "y", "z")
@@ -120,6 +123,90 @@ def test_parse_rational_coefficients():
     p = parse_poly("3/2*x^2 - 1/3", ("x",))
     assert exact_value(p, [Fraction(2)]) == Fraction(3, 2) * 4 - Fraction(
         1, 3)
+
+
+def _recorded_texts():
+    """(id, text, declared variables) of every polynomial the data files
+    record: the variety generators and the fixtures' F."""
+    for name, entry in VARIETIES.items():
+        names = (PARAM_NAMES if "pencil" in entry else
+                 tuple(entry["symbols"]) + tuple(entry.get("parameters", ())))
+        for period, texts in entry["periods"].items():
+            for i, text in enumerate(texts):
+                yield f"{name}-{period}-gamma{i}", text, names
+    for name, periods in FIXTURES.items():
+        for period, entries in periods.items():
+            for e in entries:
+                yield (f"{name}-{period}-F{e['index']}", e["F"],
+                       tuple(e["vars"]))
+
+
+RECORDED = list(_recorded_texts())
+
+
+def test_every_recorded_text_is_checked():
+    assert len(RECORDED) == 35
+
+
+@pytest.mark.parametrize("text, names", [r[1:] for r in RECORDED],
+                         ids=[r[0] for r in RECORDED])
+def test_recorded_texts_parse_to_sympys_expansion(text, names):
+    symbols = [sympy.Symbol(v) for v in names]
+    expr = sympy.sympify(text.replace("^", "**"),
+                         locals=dict(zip(names, symbols)))
+    want = MPoly(names, {e: Fraction(int(c.p), int(c.q)) for e, c in
+                         sympy.Poly(sympy.expand(expr), *symbols).terms()})
+    got = parse_poly(text, names)
+    assert got.vars == names
+    assert got.terms == want.terms
+
+
+def _assert_round_trips(p):
+    assert parse_poly(str(p), p.vars).terms == p.terms
+    assert parse_poly(str(p)) == p
+
+
+def test_derived_recurrences_round_trip():
+    # lv3 p5's F_X and F_Y (255 and 382 terms) are the longest texts the
+    # command line prints
+    outputs = derive("lv3", 5) + [f for n in range(2, 9)
+                                  for f in derive("moebius2d", n)]
+    assert sorted(len(f.terms) for f in outputs)[-2:] == [255, 382]
+    for f in outputs:
+        _assert_round_trips(f)
+
+
+def test_a_2000_term_sum_round_trips():
+    rng = random.Random(2000)
+    p = MPoly(("x", "y"), {(i, j): Fraction(rng.randint(-99, 99) or 1,
+                                            rng.randint(1, 9))
+                           for i in range(50) for j in range(40)})
+    assert len(p.terms) == 2000
+    _assert_round_trips(p)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x**2", "x^2"), ("x^(2)", "x^2"), ("x/2", "1/2*x"),
+    ("(x + 1)/2", "1/2*x + 1/2"), ("x^2/3", "1/3*x^2"), ("0x10", "16"),
+    ("1_000", "1000"), ("   x + 1", "x + 1"), ("x^2 +\n  x - 1\n", "x^2 + x - 1"),
+])
+def test_parse_accepts_python_spellings_and_whitespace(text, want):
+    assert str(parse_poly(text)) == want
+
+
+@pytest.mark.parametrize("text", [
+    # Python reads 2/(3^2), which divides by a non-literal, not (2/3)^2
+    "2/3^2",
+    "if + x", "None", "lambda", "1.5*x", "2j", "True*x", "x + 'a'",
+    "f(x)", "x.y", "x[1]", "x < y", "x // 2", "x % 2", "x @ y", "~x",
+    "x^y", "x^1.5", "x^-1", "x/y", "x/0", "x/-2", "", "x +",
+    "(" * 300 + "x" + ")" * 300, " + ".join(["x"] * 5000),
+    # Python's parser takes it, but walking it would overflow the stack
+    "*".join(["x"] * 2000),
+], ids=lambda t: t if len(t) < 20 else f"{t[:10]}...({len(t)} chars)")
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ParseError):
+        parse_poly(text, ("x", "y"))
 
 
 def test_inexact_division_reports_remainder():

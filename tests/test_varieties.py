@@ -295,3 +295,17 @@ def test_compose_parts_matches_the_per_term_loop(name, period, params):
         for p, q in zip(got, want):
             assert p.vars == q.vars
             assert p.terms == q.terms
+
+
+def test_every_generator_carries_the_symbols_membership_evaluates_in():
+    # membership evaluates each generator at the invariant values (or the
+    # coordinates) position by position, so an entry whose symbols came in
+    # another order would be evaluated at permuted values
+    assert {(n, p) for n, p, _ in COMPOSED} == {
+        (n, int(p)) for n, e in VARIETIES.items() for p in e["periods"]}
+    for name, period, params in COMPOSED:
+        g = gamma_get(name, period, params=params)
+        symbols = tuple(VARIETIES[name]["symbols"])
+        assert symbols == (g.owner.varnames if g.in_coordinates
+                           else g.owner.invariant_names)
+        assert all(gamma.vars == symbols for gamma in g.gammas)
