@@ -484,22 +484,24 @@ def _horner(node, values):
 
 # -- parsing ----------------------------------------------------------------
 
-_SIGNS = {ast.Add: 1, ast.Sub: -1}
-
-
 def parse_poly(text: str, variables: Sequence[str] = None) -> MPoly:
     """Parse polynomial text; every text str() prints round-trips.
 
     With whitespace collapsed and ``^`` read as ``**``, the text must be a
-    Python expression built only from variable names, integer literals,
-    unary ``+`` and ``-``, binary ``+``, ``-`` and ``*``, ``**`` to an
-    integer literal and ``/`` by a nonzero integer literal.  The variables
-    are the declared tuple, else the names in order of first appearance;
-    every name and literal is built in them.  Python's parser bounds the
-    length: a flat sum of more than about 2,500 terms, or more than 200
-    nested parentheses, is a ParseError, as is any text outside the grammar.
+    Python expression in ASCII, with no comment, built only from variable
+    names, integer literals, unary ``+`` and ``-``, binary ``+``, ``-`` and
+    ``*``, ``**`` to an integer literal and ``/`` by a nonzero integer
+    literal.  The variables are the declared tuple, else the names in order
+    of first appearance; every name and literal is built in them.  The
+    interpreter bounds the nesting: CPython 3.11's parser rejects more than
+    200 nested parentheses and a flat sum of more than about 2,500 terms,
+    and a product of about 1,000 factors exceeds the interpreter's default
+    recursion limit in the walk; each is a ParseError, as is any text
+    outside the grammar.
     """
     source = " ".join(text.split()).replace("^", "**")
+    if "#" in source or not source.isascii():
+        raise ParseError(f"not a polynomial: {text!r} (comment or non-ASCII)")
 
     def literal(node, what) -> int:
         if isinstance(node, ast.Constant) and node.value.__class__ is int:
@@ -512,8 +514,9 @@ def parse_poly(text: str, variables: Sequence[str] = None) -> MPoly:
                 # a sum's left spine is walked in a loop, into one dict
                 signed = []
                 while (isinstance(node, ast.BinOp)
-                       and node.op.__class__ in _SIGNS):
-                    signed.append((node.right, _SIGNS[node.op.__class__]))
+                       and isinstance(node.op, (ast.Add, ast.Sub))):
+                    signed.append(
+                        (node.right, -1 if isinstance(node.op, ast.Sub) else 1))
                     node = node.left
                 signed.append((node, 1))
                 return sum_of_products(

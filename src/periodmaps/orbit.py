@@ -26,10 +26,10 @@ class OrbitReport:
 
     def passed(self, tol: float) -> bool:
         """The period verdict: the orbit is a primitive n-cycle (it returns
-        within tol after n steps and after no proper divisor of n, so its
-        start is not a fixed point) and conserves the invariants within
-        tol."""
-        return self.primitive and self.drift <= tol
+        after n steps and after no proper divisor of n, so its start is not
+        a fixed point, both decided at verify_period's tol), and its return
+        error and invariant drift are both within tol."""
+        return self.primitive and self.return_error <= tol and self.drift <= tol
 
 
 def iterate(m: IntegrableMap, p0: Sequence[complex], n: int) -> List[Point]:

@@ -27,6 +27,15 @@ def test_lyness8_classic_cycle():
     assert seq == pytest.approx([1, 3, 5, 9, 5, 3, 1, 1, 1], abs=1e-11)
 
 
+def test_passed_bounds_the_return_error_by_its_own_tol():
+    # primitivity is decided at verify_period's tol; passed's tol still
+    # bounds the return error (the drift here is exactly zero)
+    rep = verify_period(catalog_get("lyness5"), (0.3, 1.7), 5, tol=1e-9)
+    assert rep.primitive and rep.drift == 0.0
+    assert 1e-17 < rep.return_error < 1e-16
+    assert rep.passed(1e-16) and not rep.passed(1e-17)
+
+
 def test_lyness2_period_two():
     m = catalog_get("lyness2", a=7)
     rep = verify_period(m, (5.0,), 2)

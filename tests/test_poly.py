@@ -1,5 +1,6 @@
 """Ring and parser properties of the sparse polynomial kernel."""
 
+import ast
 import math
 import random
 from fractions import Fraction
@@ -200,13 +201,29 @@ def test_parse_accepts_python_spellings_and_whitespace(text, want):
     "if + x", "None", "lambda", "1.5*x", "2j", "True*x", "x + 'a'",
     "f(x)", "x.y", "x[1]", "x < y", "x // 2", "x % 2", "x @ y", "~x",
     "x^y", "x^1.5", "x^-1", "x/y", "x/0", "x/-2", "", "x +",
-    "(" * 300 + "x" + ")" * 300, " + ".join(["x"] * 5000),
+    "(" * 300 + "x" + ")" * 300,
     # Python's parser takes it, but walking it would overflow the stack
     "*".join(["x"] * 2000),
+    # comments and non-ASCII text (Python would drop the one and read a
+    # fullwidth x as x), and a decimal literal with leading zeros
+    "x + 1 # - y", "x # c\n + y", "\uff58 + 1", "007",
 ], ids=lambda t: t if len(t) < 20 else f"{t[:10]}...({len(t)} chars)")
 def test_parse_rejects_text_outside_the_grammar(text):
     with pytest.raises(ParseError):
         parse_poly(text, ("x", "y"))
+
+
+def test_a_5000_term_sum_is_read_right_or_rejected():
+    # CPython 3.11's parser rejects a sum this deep; an interpreter that
+    # takes it must read it right
+    text = " + ".join(["x"] * 5000)
+    try:
+        ast.parse(text, mode="eval")
+    except (SyntaxError, RecursionError):
+        with pytest.raises(ParseError):
+            parse_poly(text, ("x", "y"))
+    else:
+        assert parse_poly(text, ("x", "y")) == 5000 * MPoly.var("x", ("x", "y"))
 
 
 def test_inexact_division_reports_remainder():
